@@ -112,16 +112,64 @@ class _StageSkipped(EvaluationError):
 
 
 @dataclass(frozen=True)
-class _LegacyChanges:
-    """``changes_since``-shaped view of a bare table version counter.
+class _TopK:
+    """What distinguishes UTop-Prefix(k) from UTop-Set(k) (Defs. 5–6).
 
-    Legacy duck-typed tables cannot say *what* changed, only *that*
-    something did: ``deltas`` is ``None`` whenever the counter moved, so
-    the refresh path falls back to wholesale invalidation.
+    Both rank the same k-prefix space of the linear-extension tree; a
+    set answer is a prefix answer with the order dropped. Everything
+    else — enumeration, budget charging, the ladder — is shared by
+    :meth:`RankingEngine._eval_topk`.
     """
 
-    version: int
-    deltas: Optional[tuple]
+    #: Error-message name of the query family.
+    label: str
+    #: MCMC target and the suffix of the cached artifact kinds.
+    target: str
+    #: Answer key built from an iterable of record ids.
+    key: Callable[[Any], Any]
+    #: Deterministic tie-break between equally probable keys.
+    tie_break: Callable[[Any], Any]
+    #: ``ExactEvaluator`` method scoring one key.
+    exact_score: str
+    #: Sampler method returning ``{key: frequency}``.
+    empirical: str
+    #: Answer class the evaluator returns.
+    answer: type
+    #: What one enumerated candidate is called in budget messages.
+    noun: str
+
+
+_TOPK: Dict[str, _TopK] = {
+    "utop_prefix": _TopK(
+        label="UTop-Prefix",
+        target="prefix",
+        key=tuple,
+        tie_break=tuple,
+        exact_score="prefix_probability",
+        empirical="empirical_top_prefixes",
+        answer=PrefixAnswer,
+        noun="prefix",
+    ),
+    "utop_set": _TopK(
+        label="UTop-Set",
+        target="set",
+        key=frozenset,
+        tie_break=sorted,
+        exact_score="top_set_probability",
+        empirical="empirical_top_sets",
+        answer=SetAnswer,
+        noun="candidate set",
+    ),
+}
+
+#: The ``auto`` degradation ladder per query family, highest fidelity
+#: first; ``exact`` is dropped when :meth:`RankingEngine._exact_eligible`
+#: says no.
+_LADDERS: Dict[str, Tuple[str, ...]] = {
+    "utop_rank": ("exact", "montecarlo", "baseline"),
+    "utop_prefix": ("exact", "mcmc", "montecarlo", "baseline"),
+    "utop_set": ("exact", "mcmc", "montecarlo", "baseline"),
+}
 
 
 @dataclass
@@ -156,6 +204,11 @@ class _EvalContext:
     plan_model: Optional[CostModel] = None
     plan_samples: Optional[int] = None
     stage_seconds: Dict[str, float] = field(default_factory=dict)
+
+    def mark_partial(self, stage: str, reason: str) -> None:
+        """Record that ``stage`` returned a partial, best-so-far answer."""
+        self.partial = True
+        self.events.append(DegradationEvent(stage, "clipped", reason))  # reprolint: disable=CON001 -- a context belongs to one query and only the thread running that query touches it
 
 
 class RankingEngine:
@@ -287,8 +340,7 @@ class RankingEngine:
         metrics: Optional[MetricsRegistry] = None,
         planner: Union[bool, QueryPlanner] = True,
     ) -> None:
-        if not records:
-            raise QueryError("cannot rank an empty database")
+        self._check_database(records, copula)
         if backend not in ("thread", "process", "auto"):
             raise QueryError(f"unknown execution backend {backend!r}")
         if backend == "process" and copula is not None:
@@ -326,11 +378,6 @@ class RankingEngine:
             self.planner: Optional[QueryPlanner] = planner
         else:
             self.planner = QueryPlanner() if planner else None
-        if copula is not None and copula.dimension != len(self.records):
-            raise QueryError(
-                f"copula dimension {copula.dimension} does not match "
-                f"database size {len(self.records)}"
-            )
         if cache is None:
             self.cache: ComputationCache = ComputationCache()
         elif isinstance(cache, str):
@@ -373,6 +420,17 @@ class RankingEngine:
     # construction from a table
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _check_database(records: Sequence[UncertainRecord], copula) -> None:
+        """Refuse an empty database or a copula of the wrong dimension."""
+        if not records:
+            raise QueryError("cannot rank an empty database")
+        if copula is not None and copula.dimension != len(records):
+            raise QueryError(
+                f"copula dimension {copula.dimension} does not match "
+                f"database size {len(records)}"
+            )
+
     @classmethod
     def from_table(
         cls,
@@ -397,11 +455,8 @@ class RankingEngine:
         Parameters
         ----------
         table:
-            An :class:`~repro.db.table.UncertainTable` (duck-typed:
-            anything with ``to_records`` and either the
-            ``changes_since`` delta API or a legacy ``version``
-            counter; the legacy path invalidates wholesale instead of
-            migrating).
+            An :class:`~repro.db.table.UncertainTable` (anything with
+            ``to_records`` and ``changes_since``).
         scoring:
             The scoring spec forwarded to ``to_records``.
         payload_columns:
@@ -419,41 +474,21 @@ class RankingEngine:
         engine._table_payload = (
             list(payload_columns) if payload_columns is not None else None
         )
-        engine._table_version = engine._table_changes(subscribe=True).version
+        engine._table_version = table.changes_since(None).version
         return engine
-
-    def _table_changes(self, subscribe: bool = False) -> Any:
-        """The subscribed table's pending changes (delta API or legacy).
-
-        Returns an object with ``version`` and ``deltas`` — the latter a
-        tuple of :class:`~repro.db.table.TableDelta` (possibly empty),
-        or ``None`` when the table cannot say *what* changed (legacy
-        version counters, or a delta log that no longer reaches back to
-        this engine's subscription point).
-        """
-        table = self._table
-        changes_since = getattr(table, "changes_since", None)
-        if callable(changes_since):
-            return changes_since(None if subscribe else self._table_version)
-        version = table.version  # reprolint: disable=CACHE003 -- legacy duck-typed subscription fallback: tables without the delta API only expose the bare counter, and this engine-side shim is the one sanctioned reader
-        deltas = (
-            () if subscribe or version == self._table_version else None
-        )
-        return _LegacyChanges(version=version, deltas=deltas)
 
     def _refresh_table(self) -> None:
         """Re-extract records if the subscribed table has moved on.
 
         When the table delivers deltas for the gap, cached artifacts
         untouched by them are migrated to the new fingerprint; when it
-        cannot (legacy counter, overflowed delta log), the refresh
-        falls back to wholesale invalidation — recompute, never a
-        wrong answer.
+        cannot (overflowed delta log), the refresh falls back to
+        wholesale invalidation — recompute, never a wrong answer.
         """
         if self._table is None:
             return
         with self._refresh_lock:
-            changes = self._table_changes()
+            changes = self._table.changes_since(self._table_version)
             if changes.version == self._table_version:
                 return
             dirty: set = set()
@@ -474,15 +509,7 @@ class RankingEngine:
                 touched = [r for r in records if r.record_id in dirty]
                 if touched:
                     validate_records(touched, raise_on_issue=True)
-            if not records:
-                raise QueryError("cannot rank an empty database")
-            if self.copula is not None and self.copula.dimension != len(
-                records
-            ):
-                raise QueryError(
-                    f"copula dimension {self.copula.dimension} does not "
-                    f"match database size {len(records)}"
-                )
+            self._check_database(records, self.copula)
             old_fp = self._db_fp
             self.records = list(records)
             self._db_fp = fingerprint_records(self.records)
@@ -576,9 +603,6 @@ class RankingEngine:
             return kept, fingerprint_records(kept)
 
         return self.cache.artifact("prune", (self._db_fp, level), build)
-
-    def _pruned(self, level: int) -> List[UncertainRecord]:
-        return self._pruned_entry(level)[0]
 
     def _plan_for(self, fp: str, subset: Sequence[UncertainRecord]):
         """The compiled sampling plan for ``subset``, by fingerprint."""
@@ -725,11 +749,11 @@ class RankingEngine:
         *counts* it produces are keyed by :meth:`_backend_key` alone
         and therefore shared.
 
-        Without a copula the sampler receives the compiled plan
-        directly (``plan=``), which keeps the process backend available;
-        a copula needs per-shard correlated evaluators, so it passes a
-        closure factory and stays on threads (enforced upstream by
-        :meth:`_effective_backend`).
+        Without a copula the sampler builds its shard evaluators from
+        the compiled plan itself, which keeps the process backend
+        available; a copula needs per-shard correlated evaluators, so
+        it passes a closure factory and stays on threads (enforced
+        upstream by :meth:`_effective_backend`).
         """
         seed = self._sampler_seed if sampler_seed is None else sampler_seed
         effective = (
@@ -740,21 +764,18 @@ class RankingEngine:
             plan = self._plan_for(fp, subset)
             if self.workers is None:
                 return self._sampler_factory(subset, plan)(seed)
-            if self.copula is not None:
-                sampler = ParallelSampler(
-                    subset,
-                    seed=seed,
-                    workers=self.workers,
-                    factory=self._sampler_factory(subset, plan),
-                )
-            else:
-                sampler = ParallelSampler(
-                    subset,
-                    seed=seed,
-                    workers=self.workers,
-                    plan=plan,
-                    backend=effective,
-                )
+            sampler = ParallelSampler(
+                subset,
+                seed=seed,
+                workers=self.workers,
+                factory=(
+                    None
+                    if self.copula is None
+                    else self._sampler_factory(subset, plan)
+                ),
+                plan=plan,
+                backend=effective,
+            )
             self._owned_samplers.append(sampler)  # reprolint: disable=CON001 -- samplers are only built on the query thread (cache builds run inline); worker pools never construct samplers
             return sampler
 
@@ -767,21 +788,28 @@ class RankingEngine:
     def _rank_counts(
         self,
         fp: str,
-        sampler: Union[MonteCarloEvaluator, ParallelSampler],
+        subset: Sequence[UncertainRecord],
         samples: int,
         max_rank: Optional[int] = None,
         budget: Optional[Budget] = None,
         sampler_seed: Optional[int] = None,
+        backend: Optional[str] = None,
     ):
-        """Memoized rank counts with deterministic top-up (see cache)."""
-        return self.cache.rank_counts(
-            fp,
-            self._backend_key(sampler_seed),
-            sampler,
-            samples,
-            max_rank=max_rank,
-            budget=budget,
-        )
+        """Memoized rank counts of ``subset`` with deterministic top-up
+        (see cache), drawn under a ``sample`` span."""
+        sampler = self._sampler(subset, fp, sampler_seed, backend)
+        with span("sample", requested=samples) as sample_span:
+            sc = self.cache.rank_counts(
+                fp,
+                self._backend_key(sampler_seed),
+                sampler,
+                samples,
+                max_rank=max_rank,
+                budget=budget,
+            )
+            if sample_span is not None:
+                sample_span.set(done=sc.done)
+        return sc
 
     def _guard_copula(self, method: str) -> str:
         """Map/refuse methods that assume independence under a copula."""
@@ -796,10 +824,6 @@ class RankingEngine:
             )
         return method
 
-    def _effective_budget(self, budget: Optional[Budget]) -> Optional[Budget]:
-        """Per-query budget override, falling back to the engine default."""
-        return budget if budget is not None else self.budget
-
     def cache_stats(self) -> CacheStats:
         """Live counters of this engine's computation cache.
 
@@ -809,10 +833,6 @@ class RankingEngine:
         participating engines.
         """
         return self.cache.stats()
-
-    def _cache_delta(self, before: CacheStats) -> dict:
-        """Counter increments since ``before``, for per-query reporting."""
-        return self.cache.stats().delta(before).to_dict()
 
     def _median_ranking(
         self, subset: Sequence[UncertainRecord]
@@ -933,6 +953,72 @@ class RankingEngine:
             raise last_error
         raise EvaluationError("no evaluation stage available")
 
+    def _exact_eligible(
+        self,
+        records: Sequence[UncertainRecord],
+        fp: str,
+        k: Optional[int] = None,
+    ) -> bool:
+        """The one rule for whether ``auto`` tries exact evaluation.
+
+        The densities must be piecewise polynomial and the work bounded:
+        for a TOP-k query of depth ``k`` the (cached) k-prefix space must
+        fit ``prefix_enumeration_limit``; for the per-rank families
+        (``k=None``) the record count must fit ``exact_record_limit``.
+        """
+        if not supports_exact(records):
+            return False
+        if k is None:
+            return len(records) <= self.exact_record_limit
+        space = self._prefix_space(fp, records, k)
+        return space is not None and space <= self.prefix_enumeration_limit
+
+    def _auto_ladder(
+        self,
+        kind: str,
+        pruned: Sequence[UncertainRecord],
+        fp: str,
+        depth: int,
+    ) -> List[str]:
+        """Stage names of the ``auto`` ladder for one query of ``kind``."""
+        exact = self._exact_eligible(
+            pruned, fp, depth if kind in _TOPK else None
+        )
+        return [name for name in _LADDERS[kind] if exact or name != "exact"]
+
+    def _run_ladder(
+        self,
+        ctx: _EvalContext,
+        kind: str,
+        label: str,
+        runners: Dict[str, Callable[[], List]],
+        fp: str,
+        pruned: Sequence[UncertainRecord],
+        depth: int,
+        requested: int,
+    ) -> List:
+        """Run the stages ``ctx.method`` selects from ``runners``.
+
+        ``auto`` runs the kind's ladder as the planner trims it; any
+        other method names exactly one runner.
+        """
+        if ctx.method == "auto":
+            ladder = self._auto_ladder(kind, pruned, fp, depth)
+            names = self._apply_plan(
+                ctx, kind, ladder, fp, pruned, depth, requested
+            )
+        elif ctx.method in runners:
+            names = [ctx.method]
+        else:
+            raise QueryError(f"unknown method {ctx.method!r} for {label}")
+        ctx.used, answers = self._run_stages(
+            [(name, runners[name]) for name in names],
+            ctx.budget,
+            ctx.events,
+            timings=ctx.stage_seconds,
+        )
+        return answers
+
     # ------------------------------------------------------------------
     # cost-model planning
     # ------------------------------------------------------------------
@@ -952,7 +1038,7 @@ class RankingEngine:
         pruned: Sequence[UncertainRecord],
         depth: int,
         requested: int,
-        ctx: _EvalContext,
+        sampler_seed: int,
     ) -> PlanFeatures:
         """The deterministic feature vector the planner consults.
 
@@ -969,7 +1055,7 @@ class RankingEngine:
             limit = max(1, min(depth, n))
             covered = self.cache.rank_count_coverage(
                 fp,
-                self._backend_key(ctx.sampler_seed),
+                self._backend_key(sampler_seed),
                 requested,
                 limit,
             )
@@ -992,40 +1078,37 @@ class RankingEngine:
         self,
         ctx: _EvalContext,
         kind: str,
-        stages: List[Tuple[str, Callable[[], List]]],
+        ladder: List[str],
         fp: str,
         pruned: Sequence[UncertainRecord],
         depth: int,
         requested: int,
-    ) -> List[Tuple[str, Callable[[], List]]]:
+    ) -> List[str]:
         """Consult the planner for an ``auto`` ladder; prune if budgeted.
 
-        With no planner (disabled) or a non-auto method the ladder is
-        returned untouched. Otherwise the plan is recorded on the
-        context for post-run feedback; without a live budget that is
-        all that happens — execution is byte-identical to planner-off.
-        Under a live budget, stages the plan marked ``skipped`` are
-        removed before :meth:`_run_stages` ever starts them, each
-        recorded as a ``planner:``-reasoned skip event, and a
-        covered-block sample reduction (if any) is staged via
-        ``ctx.plan_samples``.
+        With the planner disabled the ladder is returned untouched.
+        Otherwise the plan is recorded on the context for post-run
+        feedback; without a live budget that is all that happens —
+        execution is byte-identical to planner-off. Under a live
+        budget, stages the plan marked ``skipped`` are removed before
+        :meth:`_run_stages` ever starts them, each recorded as a
+        ``planner:``-reasoned skip event, and a covered-block sample
+        reduction (if any) is staged via ``ctx.plan_samples``.
         """
-        if self.planner is None or ctx.method != "auto" or not stages:
-            return stages
+        if self.planner is None:
+            return ladder
         model = self.cache.cost_model(fp)
         features = self._plan_features(
-            kind, fp, pruned, depth, requested, ctx
+            kind, fp, pruned, depth, requested, ctx.sampler_seed
         )
-        plan = self.planner.plan(
-            model, features, [name for name, _ in stages], ctx.budget
-        )
+        plan = self.planner.plan(model, features, ladder, ctx.budget)
         ctx.plan = plan
         ctx.plan_model = model
         if not plan.budgeted:
-            return stages
+            return ladder
         ctx.plan_samples = plan.planned_samples
-        kept: List[Tuple[str, Callable[[], List]]] = []
-        for name, thunk in stages:
+        kept: List[str] = []
+        for name in ladder:
             entry = plan.stage_named(name)
             if entry is not None and entry.decision == "skipped":
                 ctx.events.append(
@@ -1034,7 +1117,7 @@ class RankingEngine:
                     )
                 )
                 continue
-            kept.append((name, thunk))
+            kept.append(name)
         return kept
 
     # ------------------------------------------------------------------
@@ -1044,8 +1127,8 @@ class RankingEngine:
     #: kind -> bound evaluator method name (one entry per QUERY_KINDS).
     _EVAL: Dict[str, str] = {
         "utop_rank": "_eval_utop_rank",
-        "utop_prefix": "_eval_utop_prefix",
-        "utop_set": "_eval_utop_set",
+        "utop_prefix": "_eval_topk",
+        "utop_set": "_eval_topk",
         "rank_aggregation": "_eval_rank_aggregation",
         "threshold_topk": "_eval_threshold_topk",
     }
@@ -1071,7 +1154,7 @@ class RankingEngine:
         stats_before = self.cache.stats()
         sampler_seed, mcmc_seed = self._stream_seeds(spec.seed)
         ctx = _EvalContext(
-            budget=self._effective_budget(spec.budget),
+            budget=self.budget if spec.budget is None else spec.budget,
             method=self._guard_copula(spec.method),
             sampler_seed=sampler_seed,
             mcmc_seed=mcmc_seed,
@@ -1134,7 +1217,7 @@ class RankingEngine:
             truncated=ctx.truncated,
             confidence_half_width=ctx.half_width,
             degradation=ctx.events,
-            cache=self._cache_delta(stats_before),
+            cache=self.cache.stats().delta(stats_before).to_dict(),
             trace=root,
         )
 
@@ -1244,7 +1327,6 @@ class RankingEngine:
                 ]
 
         def run_montecarlo() -> List[RecordAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
             # A budgeted plan may serve straight from a covered
             # rank-count block at its (smaller) sample count instead of
             # drawing a fresh top-up; the result is flagged partial
@@ -1260,17 +1342,15 @@ class RankingEngine:
             # fresh samples drawn is a pure function of budget state
             # and cache contents, never of shard scheduling (the
             # determinism-under-budget contract).
-            with span("sample", requested=effective) as sample_span:
-                sc = self._rank_counts(
-                    fp,
-                    sampler,
-                    effective,
-                    max_rank=j,
-                    budget=budget,
-                    sampler_seed=ctx.sampler_seed,
-                )
-                if sample_span is not None:
-                    sample_span.set(done=sc.done)
+            sc = self._rank_counts(
+                fp,
+                pruned,
+                effective,
+                max_rank=j,
+                budget=budget,
+                sampler_seed=ctx.sampler_seed,
+                backend=ctx.backend,
+            )
             if sc.done == 0:
                 raise _StageSkipped(
                     "sample budget exhausted "
@@ -1280,26 +1360,16 @@ class RankingEngine:
                 matrix = sc.counts / sc.done
                 pairs = select_top_rank_candidates(pruned, matrix, i, j, l)
             if sc.partial:
-                ctx.partial = True
-                ctx.events.append(
-                    DegradationEvent(
-                        "montecarlo",
-                        "clipped",
-                        sc.reason
-                        or f"sample cap granted {sc.done}/{effective}",
-                    )
+                ctx.mark_partial(
+                    "montecarlo",
+                    sc.reason or f"sample cap granted {sc.done}/{effective}",
                 )
                 if pairs:
                     ctx.half_width = wilson_half_width(pairs[0][1], sc.done)
             elif effective < requested:
-                ctx.partial = True
-                ctx.events.append(
-                    DegradationEvent(
-                        "montecarlo",
-                        "clipped",
-                        "planner served covered block "
-                        f"{sc.done}/{requested}",
-                    )
+                ctx.mark_partial(
+                    "montecarlo",
+                    f"planner served covered block {sc.done}/{requested}",
                 )
                 if pairs:
                     ctx.half_width = wilson_half_width(pairs[0][1], sc.done)
@@ -1322,32 +1392,20 @@ class RankingEngine:
                 for rec in ranked[:l]
             ]
 
-        method = ctx.method
-        if method == "auto":
-            stages: List[Tuple[str, Callable[[], List]]] = []
-            if (
-                supports_exact(pruned)
-                and len(pruned) <= self.exact_record_limit
-            ):
-                stages.append(("exact", run_exact))
-            stages.append(("montecarlo", run_montecarlo))
-            stages.append(("baseline", run_baseline))
-            stages = self._apply_plan(
-                ctx, "utop_rank", stages, fp, pruned, j, requested
-            )
-        elif method == "exact":
-            stages = [("exact", run_exact)]
-        elif method == "montecarlo":
-            stages = [("montecarlo", run_montecarlo)]
-        elif method == "baseline":
-            stages = [("baseline", run_baseline)]
-        else:
-            raise QueryError(f"unknown method {method!r} for UTop-Rank")
-        used, answers = self._run_stages(
-            stages, budget, ctx.events, timings=ctx.stage_seconds
+        return self._run_ladder(
+            ctx,
+            "utop_rank",
+            "UTop-Rank",
+            {
+                "exact": run_exact,
+                "montecarlo": run_montecarlo,
+                "baseline": run_baseline,
+            },
+            fp,
+            pruned,
+            j,
+            requested,
         )
-        ctx.used = used
-        return answers
 
     def rank_distribution(
         self,
@@ -1369,10 +1427,7 @@ class RankingEngine:
             raise QueryError(f"record {record_id!r} is not in this database")
         method = self._guard_copula(method)
         if method == "auto":
-            use_exact = (
-                supports_exact(self.records)
-                and len(self.records) <= self.exact_record_limit
-            )
+            use_exact = self._exact_eligible(self.records, self._db_fp)
             method = "exact" if use_exact else "montecarlo"
         if method == "exact":
             return self._exact(self._db_fp, self.records).rank_probabilities(
@@ -1381,10 +1436,9 @@ class RankingEngine:
         if method != "montecarlo":
             raise QueryError(f"unknown method {method!r}")
         with use_registry(self._metrics):
-            sampler = self._sampler(self.records, self._db_fp)
             sc = self._rank_counts(
                 self._db_fp,
-                sampler,
+                self.records,
                 samples or self.samples,
                 max_rank=max_rank,
             )
@@ -1490,69 +1544,48 @@ class RankingEngine:
 
         return self.cache.artifact("prefix-space", (fp, k), build)
 
-    def _enumerable(
-        self, pruned: Sequence[UncertainRecord], fp: str, k: int
-    ) -> bool:
-        if not supports_exact(pruned):
-            return False
-        space = self._prefix_space(fp, pruned, k)
-        return space is not None and space <= self.prefix_enumeration_limit
+    def _score_topk(
+        self,
+        shape: _TopK,
+        fp: str,
+        subset: Sequence[UncertainRecord],
+        k: int,
+        budget: Optional[Budget] = None,
+    ) -> Tuple[List[Tuple[Any, float]], bool, Optional[str]]:
+        """Enumerate k-prefixes into answer keys and score them exactly.
 
-    def _exact_prefixes(
-        self, fp: str, subset: Sequence[UncertainRecord], k: int
-    ) -> Tuple[List[Tuple[Tuple[str, ...], float]], bool]:
-        """Scored k-prefixes, best-first, plus an enumeration-cap flag.
-
-        The unbudgeted exact TOP-k computation in one cacheable piece:
-        independent of ``l`` (answers are a slice of the sorted list),
-        so one enumeration serves every follow-up ``l``.
+        Returns ``(scored, clipped, exhausted)``: the keys best-first
+        with their probabilities, whether the enumeration cap stopped
+        the walk (a better key may lie beyond it), and the budget's
+        exhaustion reason when ``budget`` stopped it instead. With
+        ``budget=None`` the result is independent of ``l`` and of any
+        query state, so callers cache it; a budgeted walk is charged
+        one enumeration per prefix and must never be cached. Each key is
+        scored on first sight, after its grant, so a deadline stops the
+        costly scoring as well as the walk.
         """
-        evaluator = self._exact(fp, subset)
+        score = getattr(self._exact(fp, subset), shape.exact_score)
         ppo = self._ppo(fp, subset)
-        scored: List[Tuple[Tuple[str, ...], float]] = []
+        scores: Dict[Any, float] = {}
         clipped = False
-        with span("enumerate", k=k) as enum_span:
+        exhausted: Optional[str] = None
+        with span("enumerate", k=k, budgeted=budget is not None) as enum_span:
             for prefix in enumerate_prefixes(ppo, k):
-                if len(scored) >= self.prefix_enumeration_limit:
+                if len(scores) >= self.prefix_enumeration_limit:
                     clipped = True
                     break
-                scored.append(
-                    (
-                        tuple(rec.record_id for rec in prefix),
-                        evaluator.prefix_probability(prefix),
-                    )
-                )
-            if enum_span is not None:
-                enum_span.set(enumerated=len(scored), clipped=clipped)
-        scored.sort(key=lambda kv: (-kv[1], kv[0]))
-        return scored, clipped
-
-    def _exact_sets(
-        self, fp: str, subset: Sequence[UncertainRecord], k: int
-    ) -> Tuple[List[Tuple[frozenset, float]], bool]:
-        """Scored top-k sets, best-first, plus an enumeration-cap flag."""
-        evaluator = self._exact(fp, subset)
-        ppo = self._ppo(fp, subset)
-        candidate_sets = set()
-        clipped = False
-        with span("enumerate", k=k) as enum_span:
-            for prefix in enumerate_prefixes(ppo, k):
-                if len(candidate_sets) >= self.prefix_enumeration_limit:
-                    clipped = True
+                if budget is not None and not budget.consume_enumeration():
+                    exhausted = budget.exhausted_reason() or "enumeration"
                     break
-                candidate_sets.add(
-                    frozenset(rec.record_id for rec in prefix)
-                )
+                key = shape.key(rec.record_id for rec in prefix)
+                if key not in scores:
+                    scores[key] = score(key)
             if enum_span is not None:
-                enum_span.set(
-                    enumerated=len(candidate_sets), clipped=clipped
-                )
-        scored = [
-            (members, evaluator.top_set_probability(members))
-            for members in candidate_sets
-        ]
-        scored.sort(key=lambda kv: (-kv[1], sorted(kv[0])))
-        return scored, clipped
+                enum_span.set(enumerated=len(scores), clipped=clipped)
+        scored = sorted(
+            scores.items(), key=lambda kv: (-kv[1], shape.tie_break(kv[0]))
+        )
+        return scored, clipped, exhausted
 
     def utop_prefix(
         self,
@@ -1587,240 +1620,6 @@ class RankingEngine:
             )
         )
 
-    def _eval_utop_prefix(
-        self, spec: Query, ctx: _EvalContext
-    ) -> List[PrefixAnswer]:
-        k, l = spec.k, spec.l
-        budget = ctx.budget
-        with span("prune", level=k):
-            pruned, fp = self._pruned_entry(k)
-        ctx.pruned_size = len(pruned)
-        k_eff = min(k, len(pruned))
-        base_samples = spec.samples or self.samples
-
-        def run_exact() -> List[PrefixAnswer]:
-            if budget is None:
-                scored, clipped = self.cache.artifact(
-                    "exact-prefix",
-                    (fp, k_eff, self.prefix_enumeration_limit),
-                    lambda: self._exact_prefixes(fp, pruned, k_eff),
-                )
-                if clipped:
-                    # Another prefix exists beyond the cap: the answer
-                    # space was clipped, and the best prefix may be
-                    # outside the enumerated region.
-                    ctx.truncated = True
-                    ctx.events.append(
-                        DegradationEvent(
-                            "exact",
-                            "clipped",
-                            f"enumeration cap "
-                            f"{self.prefix_enumeration_limit} reached",
-                        )
-                    )
-                return [PrefixAnswer(p, prob) for p, prob in scored[:l]]
-            # Budgeted enumeration is driven (and charged) live — a
-            # budget-truncated answer set must never be cached, and the
-            # cache must not silently bypass the enumeration meter.
-            evaluator = self._exact(fp, pruned)
-            ppo = self._ppo(fp, pruned)
-            scored: List[Tuple[Tuple[str, ...], float]] = []
-            with span("enumerate", k=k_eff, budgeted=True):
-                for prefix in enumerate_prefixes(ppo, k_eff):
-                    if len(scored) >= self.prefix_enumeration_limit:
-                        ctx.truncated = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                f"enumeration cap "
-                                f"{self.prefix_enumeration_limit} reached",
-                            )
-                        )
-                        break
-                    if not budget.consume_enumeration():
-                        ctx.truncated = True
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                budget.exhausted_reason() or "enumeration",
-                            )
-                        )
-                        break
-                    scored.append(
-                        (
-                            tuple(rec.record_id for rec in prefix),
-                            evaluator.prefix_probability(prefix),
-                        )
-                    )
-            if not scored:
-                raise _StageSkipped(
-                    "budget exhausted before any prefix was enumerated"
-                )
-            scored.sort(key=lambda kv: (-kv[1], kv[0]))
-            return [PrefixAnswer(p, prob) for p, prob in scored[:l]]
-
-        def run_mcmc() -> List[PrefixAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
-            matrix_samples = max(2000, base_samples // 5)
-            rank_matrix: Optional[np.ndarray] = None
-            with span("sample", requested=matrix_samples) as sample_span:
-                sc = self._rank_counts(
-                    fp,
-                    sampler,
-                    matrix_samples,
-                    max_rank=k_eff,
-                    budget=budget,
-                    sampler_seed=ctx.sampler_seed,
-                )
-                if sample_span is not None:
-                    sample_span.set(done=sc.done)
-            if sc.done > 0:
-                rank_matrix = sc.counts / sc.done
-
-            def simulate():
-                with span(
-                    "walk", chains=self.mcmc_chains, target="prefix"
-                ):
-                    sim = TopKSimulation(
-                        pruned,
-                        k_eff,
-                        target="prefix",
-                        n_chains=self.mcmc_chains,
-                        seed=self._mcmc_call_seed(
-                            "prefix", k_eff, l, ctx.mcmc_seed
-                        ),
-                        workers=self.workers,
-                        plan=self._plan_for(fp, pruned),
-                        pairwise_cache=self._pairwise_cache(),
-                        backend=ctx.backend,
-                    )
-                    return sim.run(
-                        max_steps=self.mcmc_steps,
-                        psrf_threshold=self.psrf_threshold,
-                        top_l=l,
-                        rank_matrix=rank_matrix,
-                        budget=budget,
-                    )
-
-            if budget is None:
-                result = self.cache.artifact(
-                    "mcmc",
-                    (
-                        fp,
-                        self._backend_key(ctx.sampler_seed),
-                        "prefix",
-                        k_eff,
-                        l,
-                        matrix_samples,
-                        self.mcmc_chains,
-                        self.mcmc_steps,
-                        self.psrf_threshold,
-                        ctx.mcmc_seed,
-                    ),
-                    simulate,
-                )
-            else:
-                # A budgeted walk reflects *this* query's budget state;
-                # neither read nor write the cache for it.
-                result = simulate()
-            if result.partial:
-                ctx.partial = True
-                ctx.events.append(
-                    DegradationEvent(
-                        "mcmc", "clipped", result.stop_reason or "deadline"
-                    )
-                )
-            ctx.error_bound = result.error_estimate
-            ctx.diagnostics = {
-                "converged": result.converged,
-                "total_steps": result.total_steps,
-                "acceptance_rate": result.acceptance_rate,
-                "states_visited": result.states_visited,
-                "psrf": result.trace.psrf[-1] if result.trace.psrf else None,
-            }
-            return [
-                PrefixAnswer(tuple(key), prob)
-                for key, prob in result.answers
-            ]
-
-        def run_montecarlo() -> List[PrefixAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
-            requested = base_samples
-            denom = requested
-            with span("sample", requested=requested):
-                if budget is not None:
-                    grant = budget.take_samples(requested)
-                    if grant == 0:
-                        raise _StageSkipped(
-                            "sample budget exhausted "
-                            f"({budget.exhausted_reason() or 'samples'})"
-                        )
-                    if grant < requested:
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "montecarlo",
-                                "clipped",
-                                f"sample cap granted {grant}/{requested}",
-                            )
-                        )
-                    denom = grant
-                    freq = sampler.empirical_top_prefixes(
-                        k_eff, denom, seed=0
-                    )
-                else:
-                    freq = self.cache.artifact(
-                        "empirical-prefix",
-                        (fp, self._backend_key(ctx.sampler_seed), k_eff, denom),
-                        lambda: sampler.empirical_top_prefixes(
-                            k_eff, denom, seed=0
-                        ),
-                    )
-            with span("aggregate"):
-                ranked = sorted(
-                    freq.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            if ctx.partial and ranked:
-                ctx.half_width = wilson_half_width(ranked[0][1], denom)
-            return [PrefixAnswer(p, prob) for p, prob in ranked[:l]]
-
-        def run_baseline() -> List[PrefixAnswer]:
-            order = self._median_ranking(pruned)
-            prefix = tuple(rec.record_id for rec in order[:k_eff])
-            # Probability 1.0 under the median-collapsed (deterministic)
-            # database — the method label marks the fidelity loss.
-            return [PrefixAnswer(prefix, 1.0)]
-
-        method = ctx.method
-        if method == "auto":
-            stages: List[Tuple[str, Callable[[], List]]] = []
-            if self._enumerable(pruned, fp, k_eff):
-                stages.append(("exact", run_exact))
-            stages.append(("mcmc", run_mcmc))
-            stages.append(("montecarlo", run_montecarlo))
-            stages.append(("baseline", run_baseline))
-            stages = self._apply_plan(
-                ctx, "utop_prefix", stages, fp, pruned, k_eff, base_samples
-            )
-        elif method == "exact":
-            stages = [("exact", run_exact)]
-        elif method == "mcmc":
-            stages = [("mcmc", run_mcmc)]
-        elif method == "montecarlo":
-            stages = [("montecarlo", run_montecarlo)]
-        elif method == "baseline":
-            stages = [("baseline", run_baseline)]
-        else:
-            raise QueryError(f"unknown method {method!r} for UTop-Prefix")
-        used, answers = self._run_stages(
-            stages, budget, ctx.events, timings=ctx.stage_seconds
-        )
-        ctx.used = used
-        return answers
-
     def utop_set(
         self,
         k: int,
@@ -1845,9 +1644,9 @@ class RankingEngine:
             )
         )
 
-    def _eval_utop_set(
-        self, spec: Query, ctx: _EvalContext
-    ) -> List[SetAnswer]:
+    def _eval_topk(self, spec: Query, ctx: _EvalContext) -> List:
+        """The one evaluator for UTop-Prefix and UTop-Set."""
+        shape = _TOPK[spec.kind]
         k, l = spec.k, spec.l
         budget = ctx.budget
         with span("prune", level=k):
@@ -1856,93 +1655,69 @@ class RankingEngine:
         k_eff = min(k, len(pruned))
         base_samples = spec.samples or self.samples
 
-        def run_exact() -> List[SetAnswer]:
+        def answers(scored) -> List:
+            return [shape.answer(shape.key(key), p) for key, p in scored[:l]]
+
+        def run_exact() -> List:
             if budget is None:
-                scored, clipped = self.cache.artifact(
-                    "exact-set",
+                scored, clipped, exhausted = self.cache.artifact(  # reprolint: disable=CACHE002 -- shape is folded into the artifact kind (exact-<target>), and (kind, key) is the cache identity
+                    f"exact-{shape.target}",
                     (fp, k_eff, self.prefix_enumeration_limit),
-                    lambda: self._exact_sets(fp, pruned, k_eff),
+                    lambda: self._score_topk(shape, fp, pruned, k_eff),
                 )
-                if clipped:
-                    ctx.truncated = True
-                    ctx.events.append(
-                        DegradationEvent(
-                            "exact",
-                            "clipped",
-                            f"enumeration cap "
-                            f"{self.prefix_enumeration_limit} reached",
-                        )
+            else:
+                scored, clipped, exhausted = self._score_topk(
+                    shape, fp, pruned, k_eff, budget
+                )
+            if clipped:
+                # Another key exists beyond the cap: the answer space
+                # was clipped, and the best key may be outside the
+                # enumerated region.
+                ctx.truncated = True
+                ctx.events.append(
+                    DegradationEvent(
+                        "exact",
+                        "clipped",
+                        f"enumeration cap "
+                        f"{self.prefix_enumeration_limit} reached",
                     )
-                return [SetAnswer(m, prob) for m, prob in scored[:l]]
-            evaluator = self._exact(fp, pruned)
-            ppo = self._ppo(fp, pruned)
-            candidate_sets = set()
-            with span("enumerate", k=k_eff, budgeted=True):
-                for prefix in enumerate_prefixes(ppo, k_eff):
-                    if len(candidate_sets) >= self.prefix_enumeration_limit:
-                        ctx.truncated = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                f"enumeration cap "
-                                f"{self.prefix_enumeration_limit} reached",
-                            )
-                        )
-                        break
-                    if not budget.consume_enumeration():
-                        ctx.truncated = True
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "exact",
-                                "clipped",
-                                budget.exhausted_reason() or "enumeration",
-                            )
-                        )
-                        break
-                    candidate_sets.add(
-                        frozenset(rec.record_id for rec in prefix)
-                    )
-            if not candidate_sets:
+                )
+            if exhausted is not None:
+                ctx.truncated = True
+                ctx.mark_partial("exact", exhausted)
+            if budget is not None and not scored:
                 raise _StageSkipped(
-                    "budget exhausted before any candidate set was "
+                    f"budget exhausted before any {shape.noun} was "
                     "enumerated"
                 )
-            scored = [
-                (members, evaluator.top_set_probability(members))
-                for members in candidate_sets
-            ]
-            scored.sort(key=lambda kv: (-kv[1], sorted(kv[0])))
-            return [SetAnswer(m, prob) for m, prob in scored[:l]]
+            return answers(scored)
 
-        def run_mcmc() -> List[SetAnswer]:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+        def run_mcmc() -> List:
             matrix_samples = max(2000, base_samples // 5)
             rank_matrix: Optional[np.ndarray] = None
-            with span("sample", requested=matrix_samples) as sample_span:
-                sc = self._rank_counts(
-                    fp,
-                    sampler,
-                    matrix_samples,
-                    max_rank=k_eff,
-                    budget=budget,
-                    sampler_seed=ctx.sampler_seed,
-                )
-                if sample_span is not None:
-                    sample_span.set(done=sc.done)
+            sc = self._rank_counts(
+                fp,
+                pruned,
+                matrix_samples,
+                max_rank=k_eff,
+                budget=budget,
+                sampler_seed=ctx.sampler_seed,
+                backend=ctx.backend,
+            )
             if sc.done > 0:
                 rank_matrix = sc.counts / sc.done
 
             def simulate():
-                with span("walk", chains=self.mcmc_chains, target="set"):
+                with span(
+                    "walk", chains=self.mcmc_chains, target=shape.target
+                ):
                     sim = TopKSimulation(
                         pruned,
                         k_eff,
-                        target="set",
+                        target=shape.target,
                         n_chains=self.mcmc_chains,
                         seed=self._mcmc_call_seed(
-                            "set", k_eff, l, ctx.mcmc_seed
+                            shape.target, k_eff, l, ctx.mcmc_seed
                         ),
                         workers=self.workers,
                         plan=self._plan_for(fp, pruned),
@@ -1963,7 +1738,7 @@ class RankingEngine:
                     (
                         fp,
                         self._backend_key(ctx.sampler_seed),
-                        "set",
+                        shape.target,
                         k_eff,
                         l,
                         matrix_samples,
@@ -1975,28 +1750,24 @@ class RankingEngine:
                     simulate,
                 )
             else:
+                # A budgeted walk reflects *this* query's budget state;
+                # neither read nor write the cache for it.
                 result = simulate()
             if result.partial:
-                ctx.partial = True
-                ctx.events.append(
-                    DegradationEvent(
-                        "mcmc", "clipped", result.stop_reason or "deadline"
-                    )
-                )
+                ctx.mark_partial("mcmc", result.stop_reason or "deadline")
             ctx.error_bound = result.error_estimate
             ctx.diagnostics = {
                 "converged": result.converged,
                 "total_steps": result.total_steps,
                 "acceptance_rate": result.acceptance_rate,
                 "states_visited": result.states_visited,
+                "psrf": result.trace.psrf[-1] if result.trace.psrf else None,
             }
-            return [
-                SetAnswer(frozenset(key), prob)
-                for key, prob in result.answers
-            ]
+            return answers(result.answers)
 
-        def run_montecarlo() -> List[SetAnswer]:
+        def run_montecarlo() -> List:
             sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+            empirical = getattr(sampler, shape.empirical)
             requested = base_samples
             denom = requested
             with span("sample", requested=requested):
@@ -2008,63 +1779,49 @@ class RankingEngine:
                             f"({budget.exhausted_reason() or 'samples'})"
                         )
                     if grant < requested:
-                        ctx.partial = True
-                        ctx.events.append(
-                            DegradationEvent(
-                                "montecarlo",
-                                "clipped",
-                                f"sample cap granted {grant}/{requested}",
-                            )
+                        ctx.mark_partial(
+                            "montecarlo",
+                            f"sample cap granted {grant}/{requested}",
                         )
                     denom = grant
-                    freq = sampler.empirical_top_sets(k_eff, denom, seed=0)
+                    freq = empirical(k_eff, denom, seed=0)
                 else:
-                    freq = self.cache.artifact(
-                        "empirical-set",
+                    freq = self.cache.artifact(  # reprolint: disable=CACHE002 -- shape is folded into the artifact kind (empirical-<target>), and (kind, key) is the cache identity
+                        f"empirical-{shape.target}",
                         (fp, self._backend_key(ctx.sampler_seed), k_eff, denom),
-                        lambda: sampler.empirical_top_sets(
-                            k_eff, denom, seed=0
-                        ),
+                        lambda: empirical(k_eff, denom, seed=0),
                     )
             with span("aggregate"):
                 ranked = sorted(
-                    freq.items(), key=lambda kv: (-kv[1], sorted(kv[0]))
+                    freq.items(),
+                    key=lambda kv: (-kv[1], shape.tie_break(kv[0])),
                 )
             if ctx.partial and ranked:
                 ctx.half_width = wilson_half_width(ranked[0][1], denom)
-            return [SetAnswer(m, prob) for m, prob in ranked[:l]]
+            return answers(ranked)
 
-        def run_baseline() -> List[SetAnswer]:
+        def run_baseline() -> List:
             order = self._median_ranking(pruned)
-            members = frozenset(rec.record_id for rec in order[:k_eff])
-            return [SetAnswer(members, 1.0)]
+            # Probability 1.0 under the median-collapsed (deterministic)
+            # database — the method label marks the fidelity loss.
+            key = shape.key(rec.record_id for rec in order[:k_eff])
+            return [shape.answer(key, 1.0)]
 
-        method = ctx.method
-        if method == "auto":
-            stages: List[Tuple[str, Callable[[], List]]] = []
-            if self._enumerable(pruned, fp, k_eff):
-                stages.append(("exact", run_exact))
-            stages.append(("mcmc", run_mcmc))
-            stages.append(("montecarlo", run_montecarlo))
-            stages.append(("baseline", run_baseline))
-            stages = self._apply_plan(
-                ctx, "utop_set", stages, fp, pruned, k_eff, base_samples
-            )
-        elif method == "exact":
-            stages = [("exact", run_exact)]
-        elif method == "mcmc":
-            stages = [("mcmc", run_mcmc)]
-        elif method == "montecarlo":
-            stages = [("montecarlo", run_montecarlo)]
-        elif method == "baseline":
-            stages = [("baseline", run_baseline)]
-        else:
-            raise QueryError(f"unknown method {method!r} for UTop-Set")
-        used, answers = self._run_stages(
-            stages, budget, ctx.events, timings=ctx.stage_seconds
+        return self._run_ladder(
+            ctx,
+            spec.kind,
+            shape.label,
+            {
+                "exact": run_exact,
+                "mcmc": run_mcmc,
+                "montecarlo": run_montecarlo,
+                "baseline": run_baseline,
+            },
+            fp,
+            pruned,
+            k_eff,
+            base_samples,
         )
-        ctx.used = used
-        return answers
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -2123,7 +1880,7 @@ class RankingEngine:
             block with the cost model's predicted seconds per ladder
             stage next to the observed actuals it has fitted so far.
         """
-        if query not in ("utop_rank", "utop_prefix", "utop_set"):
+        if query not in _LADDERS:
             raise QueryError(f"unknown query kind {query!r}")
         if k < 1:
             raise QueryError("k must be positive")
@@ -2147,35 +1904,22 @@ class RankingEngine:
                 "metrics": self._metrics.snapshot(),
             },
         }
+        if query in _TOPK:
+            space = self._prefix_space(fp, pruned, k_eff)
+            plan["prefix_space"] = space
+            plan["enumeration_limit"] = self.prefix_enumeration_limit
+            plan["truncated"] = (
+                space is None or space > self.prefix_enumeration_limit
+            )
+        ladder = self._auto_ladder(query, pruned, fp, k_eff)
+        plan["method"] = ladder[0]
         if query == "utop_rank":
-            plan["method"] = (
-                "exact"
-                if plan["exact_densities"]
-                and len(pruned) <= self.exact_record_limit
-                else "montecarlo"
-            )
             plan["samples"] = self.samples
-            plan["plan"] = self._explain_plan(
-                query, fp, pruned, k_eff, deadline_ms
-            )
-            return plan
-        space = self._prefix_space(fp, pruned, k_eff)
-        plan["prefix_space"] = space
-        plan["enumeration_limit"] = self.prefix_enumeration_limit
-        plan["truncated"] = (
-            space is None or space > self.prefix_enumeration_limit
-        )
-        enumerable = (
-            plan["exact_densities"]
-            and space is not None
-            and space <= self.prefix_enumeration_limit
-        )
-        plan["method"] = "exact" if enumerable else "mcmc"
-        if plan["method"] == "mcmc":
+        elif plan["method"] == "mcmc":
             plan["mcmc_chains"] = self.mcmc_chains
             plan["mcmc_steps"] = self.mcmc_steps
         plan["plan"] = self._explain_plan(
-            query, fp, pruned, k_eff, deadline_ms
+            query, fp, pruned, k_eff, ladder, deadline_ms
         )
         return plan
 
@@ -2185,44 +1929,28 @@ class RankingEngine:
         fp: str,
         pruned: Sequence[UncertainRecord],
         depth: int,
+        ladder: List[str],
         deadline_ms: Optional[float],
     ) -> Optional[dict]:
         """The ``plan`` block of :meth:`explain` (None: planner off).
 
         Builds the same plan :meth:`query` would for the ``auto``
-        ladder — same features, same fitted model — and pairs each
+        ``ladder`` — same features, same fitted model — and pairs each
         stage's predicted seconds with the observed per-stage actuals
         the model has accumulated for this fingerprint.
         """
         if self.planner is None:
             return None
-        ctx = _EvalContext(
-            budget=None,
-            method="auto",
-            sampler_seed=self._sampler_seed,
-            mcmc_seed=self._mcmc_seed,
-        )
-        if kind == "utop_rank":
-            names = ["montecarlo", "baseline"]
-            if (
-                supports_exact(pruned)
-                and len(pruned) <= self.exact_record_limit
-            ):
-                names.insert(0, "exact")
-        else:
-            names = ["mcmc", "montecarlo", "baseline"]
-            if self._enumerable(pruned, fp, depth):
-                names.insert(0, "exact")
         model = self.cache.cost_model(fp)
         features = self._plan_features(
-            kind, fp, pruned, depth, self.samples, ctx
+            kind, fp, pruned, depth, self.samples, self._sampler_seed
         )
         budget = (
             Budget.for_deadline(deadline_ms / 1000.0)
             if deadline_ms is not None
             else None
         )
-        computed = self.planner.plan(model, features, names, budget)
+        computed = self.planner.plan(model, features, ladder, budget)
         stages = []
         for entry in computed.stages:
             observed = model.observed_stats(stage_key(kind, entry.stage))
@@ -2275,10 +2003,7 @@ class RankingEngine:
         ctx.pruned_size = len(records)
         method = ctx.method
         if method == "auto":
-            use_exact = (
-                supports_exact(records)
-                and len(records) <= self.exact_record_limit
-            )
+            use_exact = self._exact_eligible(records, fp)
             method = "exact" if use_exact else "montecarlo"
         requested = spec.samples or self.samples
 
@@ -2293,16 +2018,13 @@ class RankingEngine:
                     ).rank_probability_matrix()
                 tolerance = 1e-9
             else:
-                sampler = self._sampler(records, fp, ctx.sampler_seed, ctx.backend)
-                with span("sample", requested=requested) as sample_span:
-                    sc = self._rank_counts(
-                        fp,
-                        sampler,
-                        requested,
-                        sampler_seed=ctx.sampler_seed,
-                    )
-                    if sample_span is not None:
-                        sample_span.set(done=sc.done)
+                sc = self._rank_counts(
+                    fp,
+                    records,
+                    requested,
+                    sampler_seed=ctx.sampler_seed,
+                    backend=ctx.backend,
+                )
                 matrix = sc.counts / sc.done
                 # Sampling noise perturbs footrule costs by roughly
                 # n / sqrt(samples); ties inside that band canonicalize

@@ -284,6 +284,26 @@ _RESULT_DEFAULTS: dict = {
 }
 
 
+#: Result fields that legitimately vary run to run.
+_VOLATILE_FIELDS = ("elapsed", "cache", "trace")
+
+#: Diagnostics keys (substring match) that carry timings, not answers.
+_TIMING_TOKENS = ("elapsed", "seconds", "wall", "cpu", "time")
+
+
+def _strip_timings(value: Any) -> Any:
+    """Recursively drop timing-named keys from diagnostics payloads."""
+    if isinstance(value, dict):
+        return {
+            key: _strip_timings(item)
+            for key, item in value.items()
+            if not any(token in str(key).lower() for token in _TIMING_TOKENS)
+        }
+    if isinstance(value, list):
+        return [_strip_timings(item) for item in value]
+    return value
+
+
 def _json_default(value: Any) -> Any:
     """Fallback encoder for numpy scalars and other odd leaves."""
     try:
@@ -438,6 +458,25 @@ class QueryResult:
             "cache": None if self.cache is None else dict(self.cache),
             "trace": None if self.trace is None else self.trace.to_dict(),
         }
+
+    def canonical(self) -> dict:
+        """The answer alone: what byte-identical results must share.
+
+        :meth:`to_dict` without the fields that vary run to run
+        (``elapsed``, ``cache``, ``trace``), without the planner's
+        ``diagnostics.plan`` block — it exists only when planning is
+        on and is advisory metadata, not part of the answer — and with
+        timing-named diagnostics keys stripped at any depth. Everything
+        else, float bit patterns included, is part of the contract that
+        equal specs and seeds give equal answers.
+        """
+        data = self.to_dict()
+        for key in _VOLATILE_FIELDS:
+            del data[key]
+        diagnostics = data["diagnostics"]
+        diagnostics.pop("plan", None)
+        data["diagnostics"] = _strip_timings(diagnostics)
+        return data
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """The :meth:`to_dict` rendition serialized to a JSON string.

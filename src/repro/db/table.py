@@ -21,7 +21,6 @@ discarding them (see :meth:`repro.core.cache.ComputationCache.migrate`).
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 from types import TracebackType
 from typing import (
@@ -402,38 +401,6 @@ class UncertainTable:
             version=current,
             deltas=tuple(self._delta_log[version - self._log_base:]),
         )
-
-    # -- deprecated single-edit shims ----------------------------------
-
-    def add_row(self, raw_row: Dict) -> None:
-        """Deprecated: use ``with table.mutate() as batch: batch.append(...)``."""
-        warnings.warn(
-            "UncertainTable.add_row is deprecated; use table.mutate()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with self.mutate() as batch:
-            batch.append(raw_row)
-
-    def remove_row(self, key_value: str) -> None:
-        """Deprecated: use ``with table.mutate() as batch: batch.delete(...)``."""
-        warnings.warn(
-            "UncertainTable.remove_row is deprecated; use table.mutate()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with self.mutate() as batch:
-            batch.delete(key_value)
-
-    def update_cell(self, key_value: str, column: str, value: object) -> None:
-        """Deprecated: use ``with table.mutate() as batch: batch.update(...)``."""
-        warnings.warn(
-            "UncertainTable.update_cell is deprecated; use table.mutate()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with self.mutate() as batch:
-            batch.update(key_value, column, value)
 
     # ------------------------------------------------------------------
     # content fingerprinting (record-granular)

@@ -302,22 +302,6 @@ def _run_item(
     return result, time.perf_counter() - start
 
 
-def _canonical(result: QueryResult) -> str:
-    """The answer alone — timing, cache, trace, and plan stripped.
-
-    The plan block is planner-only metadata (absent with the planner
-    off), so it must not participate in the identity audit; everything
-    else in the payload is part of the answer contract.
-    """
-    payload = result.to_dict()
-    for volatile in ("elapsed", "cache", "trace"):
-        payload.pop(volatile, None)
-    diagnostics = payload.get("diagnostics")
-    if isinstance(diagnostics, dict):
-        diagnostics.pop("plan", None)
-    return json.dumps(payload, sort_keys=True)
-
-
 def _confidence(result: QueryResult) -> Tuple[int, int]:
     """``(method rank, non-partial)`` — lexicographically comparable."""
     return (
@@ -349,7 +333,7 @@ def run_pass(
                 "partial": bool(result.partial),
                 "seconds": elapsed,
                 "confidence": _confidence(result),
-                "blob": _canonical(result),
+                "blob": json.dumps(result.canonical(), sort_keys=True),
             }
         )
     return rows, total

@@ -106,14 +106,9 @@ def _query(engine: RankingEngine, k: int, seed: int) -> QueryResult:
     return engine.utop_prefix(k, l=2, method="mcmc", seed=seed)
 
 
-def _canonical(result: QueryResult) -> str:
-    payload = result.to_dict()
-    for volatile in ("elapsed", "cache", "trace"):
-        payload.pop(volatile, None)
-    diagnostics = payload.get("diagnostics")
-    if isinstance(diagnostics, dict):
-        diagnostics.pop("plan", None)
-    return json.dumps(payload, sort_keys=True, default=str)
+def _answer(result: QueryResult) -> str:
+    """``canonical()`` as JSON, so equal NaN diagnostics compare equal."""
+    return json.dumps(result.canonical(), sort_keys=True, default=str)
 
 
 def _edit(table: UncertainTable, index: int, n: int) -> None:
@@ -189,7 +184,7 @@ def run_benchmark(
                 "pairwise_dropped": int(dropped),
                 "identical": (
                     warm_result is not None
-                    and _canonical(warm_result) == _canonical(cold_result)
+                    and _answer(warm_result) == _answer(cold_result)
                 ),
             }
         )

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import RankingEngine
 from ..core.metrics import MetricsRegistry
+from ..core.queries import QueryResult
 from ..core.records import UncertainRecord
 from .host import BENCH_SCHEMA, host_block
 from .query_cache_bench import benchmark_records
@@ -87,8 +88,8 @@ def _timed_query(
     samples: int,
     seed: int,
     traced: bool,
-) -> Tuple[dict, float]:
-    """One UTop-Rank(1, k) on a fresh engine; returns (result dict, s).
+) -> Tuple[QueryResult, float]:
+    """One UTop-Rank(1, k) on a fresh engine; returns (result, s).
 
     A fresh engine (private cache, and — when traced — a private
     registry) per call keeps the two passes symmetric: neither benefits
@@ -104,15 +105,7 @@ def _timed_query(
     start = time.perf_counter()
     result = engine.utop_rank(1, k, method="montecarlo")
     elapsed = time.perf_counter() - start
-    return result.to_dict(), elapsed
-
-
-def _answer_blob(payload: dict) -> str:
-    """The answer alone — timing, cache counters, and trace stripped."""
-    clean = dict(payload)
-    for volatile in ("elapsed", "cache", "trace"):
-        clean.pop(volatile, None)
-    return json.dumps(clean, sort_keys=True)
+    return result, elapsed
 
 
 def run_benchmark(
@@ -132,18 +125,18 @@ def run_benchmark(
         traced_times: List[float] = []
         spans = 0
         for _ in range(repeats):
-            plain_payload, plain_s = _timed_query(
+            plain, plain_s = _timed_query(
                 records, k, samples, seed, traced=False
             )
-            traced_payload, traced_s = _timed_query(
+            traced, traced_s = _timed_query(
                 records, k, samples, seed, traced=True
             )
             plain_times.append(plain_s)
             traced_times.append(traced_s)
-            if _answer_blob(plain_payload) != _answer_blob(traced_payload):
+            if plain.canonical() != traced.canonical():
                 identical = False
-            trace = traced_payload.get("trace")
-            if isinstance(trace, dict):
+            if traced.trace is not None:
+                trace = traced.trace.to_dict()
                 spans = _count_spans(trace)
                 for name, wall in _stage_walls(trace).items():
                     breakdown[name] = breakdown.get(name, 0.0) + wall

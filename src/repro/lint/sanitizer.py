@@ -35,10 +35,11 @@ and cache temperature. It replays a seeded mixed-query workload
   :meth:`~repro.core.cache.ComputationCache.migrate` — and must still
   be byte-identical to the direct-records baseline;
 
-and diffs every :meth:`~repro.core.queries.QueryResult.to_dict` against
-the unperturbed serial baseline **byte-for-byte** (canonicalized: the
-wall-clock, cache-delta, and trace fields are stripped — everything
-else, including diagnostics and float bit patterns, must match).
+and diffs every :meth:`~repro.core.queries.QueryResult.canonical`
+rendition against the unperturbed serial baseline **byte-for-byte**
+(the wall-clock, cache-delta, trace, and planner-plan fields are
+stripped — everything else, including diagnostics and float bit
+patterns, must match).
 
 On divergence the report names the query, the first differing JSON
 path, and — because every engine runs with tracing on — the deepest
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import RankingEngine, certain, uniform
-from repro.core.queries import Query, QueryResult
+from repro.core.queries import Query
 from repro.core.records import UncertainRecord
 from repro.core.trace import set_span_start_hook
 
@@ -75,7 +76,6 @@ __all__ = [
     "build_mutation_scenario",
     "build_records",
     "build_workload",
-    "canonical_result",
     "run_sanitizer",
 ]
 
@@ -102,13 +102,6 @@ DEFAULT_PLANNER_GRID: Tuple[str, ...] = ("on",)
 #: this to ``off,on`` so release checks assert delta-aware incremental
 #: maintenance never changes an answer.
 DEFAULT_MUTATE_GRID: Tuple[str, ...] = ("off",)
-
-#: Result keys that legitimately vary run-to-run.
-_VOLATILE_KEYS = ("elapsed", "cache", "trace")
-
-#: Diagnostics keys (substring match) that carry timings, not answers.
-_TIMING_TOKENS = ("elapsed", "seconds", "wall", "cpu", "time")
-
 
 def _lcg(state: int) -> int:
     return (state * _LCG_MUL + _LCG_INC) & _MASK64
@@ -222,17 +215,22 @@ def build_mutation_scenario(count: int = 12) -> Tuple[Any, Any, Any]:
 
 
 def build_workload(k: int = 3) -> List[Query]:
-    """The mixed-query workload: every kind, both stochastic methods.
+    """The mixed-query workload: every kind, every non-baseline method.
 
-    Each stochastic query pins an explicit ``seed`` so answers are
-    addressable across engines built with different worker settings.
+    Both TOP-k kinds run exact, MCMC and Monte-Carlo, so every branch
+    of the shared top-k evaluator is under every axis. Each stochastic
+    query pins an explicit ``seed`` so answers are addressable across
+    engines built with different worker settings.
     """
     return [
         Query(kind="utop_rank", i=1, j=2, l=2, method="exact"),
         Query(kind="utop_rank", i=1, j=k, l=2, method="montecarlo", seed=11),
+        Query(kind="utop_prefix", k=k, l=2, method="exact"),
         Query(kind="utop_prefix", k=k, l=2, method="montecarlo", seed=12),
         Query(kind="utop_prefix", k=k, l=2, method="mcmc", seed=13),
+        Query(kind="utop_set", k=k, l=2, method="exact"),
         Query(kind="utop_set", k=k, l=2, method="montecarlo", seed=14),
+        Query(kind="utop_set", k=k, l=2, method="mcmc", seed=17),
         Query(kind="rank_aggregation", method="montecarlo", seed=15),
         Query(
             kind="threshold_topk",
@@ -242,36 +240,6 @@ def build_workload(k: int = 3) -> List[Query]:
             seed=16,
         ),
     ]
-
-
-def _strip_timings(value: Any) -> Any:
-    """Recursively drop timing-named keys from diagnostics payloads."""
-    if isinstance(value, dict):
-        return {
-            key: _strip_timings(item)
-            for key, item in value.items()
-            if not any(token in str(key).lower() for token in _TIMING_TOKENS)
-        }
-    if isinstance(value, list):
-        return [_strip_timings(item) for item in value]
-    return value
-
-
-def canonical_result(result: QueryResult) -> Dict[str, Any]:
-    """The comparable rendition of a result: everything but timings.
-
-    The planner's ``plan`` diagnostic block is dropped alongside the
-    timing fields: it exists only when planning is enabled, so keeping
-    it would make the planner on/off axis trivially diverge on a field
-    that is advisory metadata, not part of the answer.
-    """
-    data = result.to_dict()
-    for key in _VOLATILE_KEYS:
-        data.pop(key, None)
-    diagnostics = dict(data.get("diagnostics") or {})
-    diagnostics.pop("plan", None)
-    data["diagnostics"] = _strip_timings(diagnostics)
-    return data
 
 
 def _json_default(value: Any) -> Any:
@@ -507,7 +475,7 @@ def _execute(
             traces: List[Optional[Dict[str, Any]]] = []
             for query in queries:
                 result = engine.query(query)
-                data = canonical_result(result)
+                data = result.canonical()
                 canonical.append(data)
                 encoded.append(encode_canonical(data))
                 traces.append(

@@ -90,17 +90,20 @@ class TestTableFingerprint:
 
     def test_add_row_bumps(self, table):
         fp = table.fingerprint()
-        table.add_row({"id": "c", "rent": 700.0})
+        with table.mutate() as batch:
+            batch.append({"id": "c", "rent": 700.0})
         assert table.fingerprint() != fp
 
     def test_remove_row_bumps(self, table):
         fp = table.fingerprint()
-        table.remove_row("b")
+        with table.mutate() as batch:
+            batch.delete("b")
         assert table.fingerprint() != fp
 
     def test_update_cell_bumps(self, table):
         fp = table.fingerprint()
-        table.update_cell("a", "rent", 601.0)
+        with table.mutate() as batch:
+            batch.update("a", "rent", 601.0)
         assert table.fingerprint() != fp
 
     def test_roundtrip_mutation_restores_fingerprint(self, table):
@@ -109,9 +112,11 @@ class TestTableFingerprint:
         # fingerprint, so caches keyed on it may serve warm artifacts
         # again — the content IS the identity, not the edit history.
         fp = table.fingerprint()
-        table.update_cell("a", "rent", 999.0)
+        with table.mutate() as batch:
+            batch.update("a", "rent", 999.0)
         assert table.fingerprint() != fp
-        table.update_cell("a", "rent", 600.0)
+        with table.mutate() as batch:
+            batch.update("a", "rent", 600.0)
         assert table.fingerprint() == fp
 
     def test_name_not_part_of_fingerprint(self, table):
@@ -131,7 +136,8 @@ class TestTableFingerprint:
             table.to_records(scoring, validate=True)
         )
         assert before == again
-        table.update_cell("a", "rent", 650.0)
+        with table.mutate() as batch:
+            batch.update("a", "rent", 650.0)
         after = fingerprint_records(
             table.to_records(scoring, validate=True)
         )

@@ -17,6 +17,7 @@ from repro.core.budget import Budget
 from repro.core.chaos import FaultInjector, FaultyOracle
 from repro.core.engine import RankingEngine
 from repro.core.errors import ConvergenceError, EvaluationError
+from repro.core.exact import ExactEvaluator
 from repro.core.mcmc import TopKSimulation
 from repro.core.queries import DegradationEvent
 
@@ -161,13 +162,56 @@ class TestPrefixAndSetLadder:
             for e in result.degradation
         )
 
-    def test_prefix_budget_clips_enumeration(self, db):
+    @pytest.mark.parametrize("query", ["utop_prefix", "utop_set"])
+    def test_budget_clips_enumeration(self, db, query):
         budget = Budget(max_enumeration=1)
         engine = RankingEngine(db, seed=7)
-        result = engine.utop_prefix(3, l=1, method="exact", budget=budget)
+        result = getattr(engine, query)(
+            3, l=1, method="exact", budget=budget
+        )
         assert result.truncated
         assert result.partial
         assert len(result.answers) == 1
+        assert any(
+            e.stage == "exact" and e.action == "clipped"
+            for e in result.degradation
+        )
+
+    @pytest.mark.parametrize(
+        "query, scorer",
+        [
+            ("utop_prefix", "prefix_probability"),
+            ("utop_set", "top_set_probability"),
+        ],
+    )
+    def test_deadline_stops_exact_scoring(
+        self, db, monkeypatch, query, scorer
+    ):
+        # Each exact score takes one tick of a fake clock, and the
+        # deadline falls inside the first: the walk must stop after it.
+        now = [0.0]
+        original = getattr(ExactEvaluator, scorer)
+
+        def slow_score(self, key):
+            now[0] += 1.0
+            return original(self, key)
+
+        monkeypatch.setattr(ExactEvaluator, scorer, slow_score)
+        budget = Budget(deadline=0.5, clock=lambda: now[0])
+        engine = RankingEngine(db, seed=7, planner=False)
+        result = getattr(engine, query)(
+            3, l=5, method="exact", budget=budget
+        )
+        assert now[0] == 1.0
+        assert result.truncated
+        assert result.partial
+        assert len(result.answers) == 1
+        assert any(
+            e.stage == "exact"
+            and e.action == "clipped"
+            and e.reason == "deadline"
+            for e in result.degradation
+        )
 
     def test_set_enumeration_cap_marks_truncated(self, db):
         engine = RankingEngine(db, seed=7, prefix_enumeration_limit=1)

@@ -97,6 +97,28 @@ class TestUTopSet:
         assert result.top.probability == pytest.approx(0.9375, abs=0.03)
 
 
+@pytest.mark.parametrize(
+    "query, label", [("utop_prefix", "UTop-Prefix"), ("utop_set", "UTop-Set")]
+)
+class TestTopKKinds:
+    """Both TOP-k kinds share one evaluator, so they report alike."""
+
+    def test_mcmc_diagnostics_keys(self, engine, query, label):
+        result = getattr(engine, query)(3, method="mcmc")
+        assert set(result.diagnostics) == {
+            "converged",
+            "total_steps",
+            "acceptance_rate",
+            "states_visited",
+            "psrf",
+        }
+        assert result.diagnostics["psrf"] is not None
+
+    def test_unknown_method_names_the_family(self, engine, query, label):
+        with pytest.raises(QueryError, match=f"for {label}$"):
+            getattr(engine, query)(3, method="bogus")
+
+
 class TestRankAggregation:
     def test_exact_consensus(self, engine):
         result = engine.rank_aggregation()

@@ -44,21 +44,14 @@ WORKER_GRID = (1, 2, 4)
 
 
 def _canonical(result):
-    """Comparable rendition: everything but wall-clock timings.
+    """``result.canonical()`` plus the cache statistics.
 
-    Unlike the sanitizer's ``canonical_result`` this keeps the cache
-    statistics — the process backend ships §VI-D pairwise integrals
-    home from the workers precisely so that cache accounting stays
-    bit-identical across backends, and that is worth asserting. The
-    planner's schedule block is stripped along with the other timing
-    fields: its measured per-stage seconds are wall-clock.
+    The process backend ships §VI-D pairwise integrals home from the
+    workers precisely so that cache accounting stays bit-identical
+    across backends, and that is worth asserting.
     """
-    data = result.to_dict()
-    data.pop("elapsed", None)
-    data.pop("trace", None)
-    diagnostics = data.get("diagnostics")
-    if isinstance(diagnostics, dict):
-        diagnostics.pop("plan", None)
+    data = result.canonical()
+    data["cache"] = result.cache
     return encode_canonical(data)
 
 

@@ -23,7 +23,6 @@ from repro.lint.sanitizer import (
     build_mutation_scenario,
     build_records,
     build_workload,
-    canonical_result,
     encode_canonical,
     run_sanitizer,
 )
@@ -61,13 +60,13 @@ class TestHelpers:
         }
 
     def test_canonical_result_strips_volatile_fields(self):
-        data = canonical_result(make_result())
+        data = make_result().canonical()
         assert "elapsed" not in data
         assert "cache" not in data
         assert "trace" not in data
         # Identical answers with different timings must encode equal.
         assert encode_canonical(data) == encode_canonical(
-            canonical_result(make_result(elapsed=9.9))
+            make_result(elapsed=9.9).canonical()
         )
 
     def test_canonical_result_strips_timing_diagnostics(self):
@@ -76,8 +75,9 @@ class TestHelpers:
             "steps": 10,
             "elapsed_seconds": 1.0,
             "nested": {"wall": 2.0, "converged": True},
+            "plan": {"chosen": "exact"},
         }
-        data = canonical_result(result)
+        data = result.canonical()
         assert data["diagnostics"] == {
             "steps": 10,
             "nested": {"converged": True},
@@ -150,7 +150,7 @@ class TestSpanJitter:
 
 class TestDivergenceDetection:
     def _execution(self, label, probability):
-        data = canonical_result(make_result(probability))
+        data = make_result(probability).canonical()
         return _Execution(
             label=label,
             canonical=[data],
