@@ -1,26 +1,22 @@
 """Sampling-backend throughput: serial vs columnar vs parallel.
 
-Times ``sample_scores`` through the four backends on all-uniform
+Times ``sample_scores`` through the three backends on all-uniform
 databases of n ∈ {100, 1000, 5000} records and writes the throughput
 table to ``BENCH_sampling.json`` (see ``emit.py``), so the sampler's
 perf trajectory is tracked across PRs in version control.
 
 Backends:
 
-- **serial** — the pre-columnar per-record Python loop, kept as
-  ``MonteCarloEvaluator._sample_scores_serial`` exactly for this
+- **serial** — the pre-columnar per-record Python loop,
+  :func:`sample_scores_serial` below, kept exactly for this
   comparison;
 - **columnar** — the ``SamplingPlan`` family kernels behind
   ``sample_scores``;
 - **parallel** — the sharded ``ParallelSampler`` front-end over a
-  thread pool (same kernels, deterministic shard merge; on a
-  single-core box this mostly measures the sharding overhead);
-- **process** — the same front-end over ``backend="process"``: shard
-  tasks run in a reusable process pool reading the compiled plan from
-  a shared-memory segment. Merged draws are asserted byte-identical
-  to the thread backend; the GIL-free speedup target (process >=
-  columnar x 0.7-per-core at n=5000) is only asserted on multi-core
-  hosts.
+  thread pool (same kernels, deterministic shard merge; at this batch
+  size it mostly measures the sharding overhead).
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_sampling_backend.py``.
 """
 
 import os
@@ -45,9 +41,22 @@ SIZES = (100, 1000, 5000)
 SAMPLES = 128
 #: Required columnar-vs-serial advantage at n=1000 (acceptance floor).
 MIN_SPEEDUP = 5.0
-#: Per-core fraction of columnar throughput the process backend must
-#: reach at n=5000 (acceptance floor; multi-core hosts only).
-PROCESS_CORE_FRACTION = 0.7
+
+
+def sample_scores_serial(evaluator, rng, samples):
+    """Pre-columnar per-record sampling loop over ``evaluator.records``.
+
+    The baseline the columnar plan is benchmarked and distribution-tested
+    against; no estimator uses it.
+    """
+    n = len(evaluator.records)
+    out = np.empty((samples, n))
+    for i, rec in enumerate(evaluator.records):
+        if rec.is_deterministic:
+            out[:, i] = evaluator._tie_values.get(rec.record_id, rec.lower)
+        else:
+            out[:, i] = rec.score.sample(rng, samples)
+    return out
 
 
 def _uniform_db(n):
@@ -68,57 +77,26 @@ def _time(fn, *args, repeats=3, **kwargs):
 def test_sampling_backend_throughput(benchmark):
     results = []
     speedups = {}
-    process_vs_columnar = {}
     for n in SIZES:
         db = _uniform_db(n)
         evaluator = MonteCarloEvaluator(db, seed=11)
         parallel = ParallelSampler(db, seed=11, workers="auto")
-        process = ParallelSampler(
-            db, seed=11, workers="auto", backend="process"
-        )
 
         serial = _time(
-            evaluator._sample_scores_serial, np.random.default_rng(3), SAMPLES
+            sample_scores_serial, evaluator, np.random.default_rng(3), SAMPLES
         )
         columnar = _time(evaluator.sample_scores, SAMPLES, seed=3)
         sharded = _time(parallel.sample_scores, SAMPLES, seed=3)
-        # Warm call first: pool spawn + shared-memory export are one-time
-        # costs amortised across queries, not per-call dispatch.
-        process.sample_scores(SAMPLES, seed=3)
-        shm_process = _time(process.sample_scores, SAMPLES, seed=3)
-
-        assert np.array_equal(
-            parallel.sample_scores(SAMPLES, seed=3),
-            process.sample_scores(SAMPLES, seed=3),
-        ), f"thread/process backends diverged at n={n}"
 
         results += [
             {"n": n, "backend": "serial", "samples": SAMPLES, "seconds": serial},
             {"n": n, "backend": "columnar", "samples": SAMPLES, "seconds": columnar},
             {"n": n, "backend": "parallel", "samples": SAMPLES, "seconds": sharded},
-            {"n": n, "backend": "process", "samples": SAMPLES, "seconds": shm_process},
         ]
         speedups[n] = serial / columnar
-        process_vs_columnar[n] = columnar / shm_process
         parallel.close()
-        process.close()
 
-    # Record in the report itself whether the 0.7×cores throughput
-    # floor below was actually asserted: on single-core hosts the
-    # process rows are pure dispatch overhead, and a reader of the
-    # committed JSON must not mistake them for a measured floor.
-    cores = os.cpu_count() or 1
-    floor_skipped_reason = (
-        None
-        if cores >= 2
-        else f"single-core host (cpu_count={cores}): process rows "
-        "measure dispatch overhead, not parallel throughput"
-    )
-    path = write_sampling_report(
-        results,
-        floor_fraction=PROCESS_CORE_FRACTION,
-        floor_skipped_reason=floor_skipped_reason,
-    )
+    path = write_sampling_report(results)
     emit(
         f"Sampling backends ({SAMPLES} samples; written to {path.name})",
         ["n", "backend", "seconds", "samples/sec"],
@@ -139,33 +117,17 @@ def test_sampling_backend_throughput(benchmark):
         f"columnar speedup {speedups[1000]:.1f}x below {MIN_SPEEDUP}x"
     )
 
-    # Acceptance floor for the shared-memory process backend: at
-    # n=5000 it must reach 0.7-per-core of columnar throughput. Only
-    # meaningful where real cores exist — on single-core runners the
-    # backend is pure dispatch overhead and the floor is skipped
-    # (recorded as such in the report's throughput_floor block).
-    if floor_skipped_reason is None:
-        target = PROCESS_CORE_FRACTION * cores
-        assert process_vs_columnar[5000] >= target, (
-            f"process backend at n=5000 reached "
-            f"{process_vs_columnar[5000]:.2f}x columnar, "
-            f"target {target:.2f}x on {cores} cores"
-        )
-
     evaluator = MonteCarloEvaluator(_uniform_db(1000), seed=11)
     benchmark(evaluator.sample_scores, SAMPLES, seed=3)
     benchmark.extra_info["speedup_n1000"] = speedups[1000]
-    benchmark.extra_info["process_vs_columnar_n5000"] = process_vs_columnar[
-        5000
-    ]
-    benchmark.extra_info["cpu_count"] = cores
+    benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
 
 
 def test_columnar_matches_serial_distribution():
     """Columnar and serial paths draw from the same distribution."""
     db = _uniform_db(200)
     evaluator = MonteCarloEvaluator(db, seed=5)
-    serial = evaluator._sample_scores_serial(np.random.default_rng(9), 4_000)
+    serial = sample_scores_serial(evaluator, np.random.default_rng(9), 4_000)
     columnar = evaluator.sample_scores(4_000, seed=9)
     assert np.allclose(serial.mean(axis=0), columnar.mean(axis=0), atol=0.08)
     assert np.allclose(serial.std(axis=0), columnar.std(axis=0), atol=0.08)

@@ -30,33 +30,21 @@ and pre-emption would sacrifice determinism.
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import metrics, shm
+from . import metrics
 from .trace import accumulate
 
 __all__ = [
     "Budget",
     "CancellationToken",
     "SampleCounts",
-    "WorkerBudget",
-    "WorkerBudgetView",
 ]
-
-#: Cross-process budget block: cancel flag (u8 + pad), samples granted
-#: (u64, parent is the single writer so plain stores are atomic), sample
-#: cap (u64, ``_UNCAPPED`` when none), absolute ``time.monotonic``
-#: deadline (f64, NaN when none — CLOCK_MONOTONIC shares its epoch
-#: across processes on Linux).
-_BLOCK = struct.Struct("<B7xQQd")
-_UNCAPPED = 2**64 - 1
 
 
 class CancellationToken:
@@ -137,8 +125,6 @@ class Budget:
         self._lock = threading.Lock()
         self._samples_used = 0
         self._enumeration_used = 0
-        self._shared: Optional[object] = None
-        self._shared_finalizer: Optional[weakref.finalize] = None
 
     @classmethod
     def for_deadline(
@@ -310,59 +296,6 @@ class Budget:
             accumulate("budget_enumeration_denied")
         return granted
 
-    # -- cross-process view --------------------------------------------
-
-    def worker_view(self) -> "WorkerBudgetView":
-        """Picklable handle for budget checks in worker processes.
-
-        Sample and enumeration *grants* always stay in the parent (they
-        are atomic reservations made before work is dispatched); workers
-        only need the read side — cancellation, deadline, and the
-        granted-samples counter — which lives in a small shared-memory
-        block. The parent is the block's single writer: the dispatcher
-        calls :meth:`sync_shared` while it waits on futures, so a
-        cancellation or a deadline crossing reaches workers at their
-        next chunk boundary. The block is unlinked by :meth:`close`
-        (with a GC finalizer as backstop).
-        """
-        with self._lock:
-            if self._shared is None:
-                segment = shm.create_segment(_BLOCK.size)
-                self._shared = segment
-                self._shared_finalizer = weakref.finalize(
-                    self, shm.unlink_segment, segment
-                )
-        self.sync_shared()
-        return WorkerBudgetView(self._shared.name)
-
-    def sync_shared(self) -> None:
-        """Publish cancel/deadline/samples state to the shared block."""
-        with self._lock:
-            segment = self._shared
-            used = self._samples_used
-        if segment is None:
-            return
-        remaining = self.time_remaining()
-        target = (
-            float("nan")
-            if remaining is None
-            else time.monotonic() + max(0.0, remaining)
-        )
-        cap = _UNCAPPED if self.max_samples is None else self.max_samples
-        _BLOCK.pack_into(
-            segment.buf, 0, int(self.token.cancelled), used, cap, target
-        )
-
-    def close(self) -> None:
-        """Release the shared block, if any. Idempotent."""
-        with self._lock:
-            segment = self._shared
-            self._shared = None
-            if self._shared_finalizer is not None:
-                self._shared_finalizer.detach()
-                self._shared_finalizer = None
-        shm.unlink_segment(segment)
-
     def __repr__(self) -> str:
         return (
             f"Budget(deadline={self.deadline!r}, "
@@ -371,47 +304,6 @@ class Budget:
             f"samples_used={self.samples_used}, "
             f"enumeration_used={self.enumeration_used})"
         )
-
-
-@dataclass(frozen=True)
-class WorkerBudgetView:
-    """Name of a :class:`Budget`'s shared block; crosses process lines."""
-
-    name: str
-
-
-class WorkerBudget:
-    """Read-only :class:`Budget` proxy used inside worker processes.
-
-    Supports exactly the surface estimators poll at chunk boundaries —
-    :meth:`expired` and :meth:`exhausted_reason`. Grants never happen
-    worker-side, so the mutating :class:`Budget` API is deliberately
-    absent.
-    """
-
-    def __init__(self, view: WorkerBudgetView) -> None:
-        self._segment = shm.attach_segment(view.name)
-
-    def _read(self) -> tuple:
-        return _BLOCK.unpack_from(self._segment.buf, 0)
-
-    def expired(self) -> bool:
-        """Whether work should stop now (cancelled or past deadline)."""
-        cancelled, _used, _cap, target = self._read()
-        if cancelled:
-            return True
-        return target == target and time.monotonic() >= target
-
-    def exhausted_reason(self) -> Optional[str]:
-        """Mirror of :meth:`Budget.exhausted_reason` (no enumeration)."""
-        cancelled, used, cap, target = self._read()
-        if cancelled:
-            return "cancelled"
-        if target == target and time.monotonic() >= target:
-            return "deadline"
-        if cap != _UNCAPPED and used >= cap:
-            return "samples"
-        return None
 
 
 @dataclass

@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -81,7 +80,6 @@ from .costmodel import (
 from .numeric import wilson_half_width
 from .parallel import (
     DEFAULT_SHARDS,
-    PROCESS_CROSSOVER,
     ParallelSampler,
     resolve_workers,
 )
@@ -254,19 +252,14 @@ class RankingEngine:
         from a fixed shard count, every result is identical for every
         worker count; the knob only changes wall-clock time.
     backend:
-        Where sharded sampling work runs when ``workers`` is set:
-        ``"thread"`` (default) uses an in-process pool, ``"process"``
-        ships the compiled sampling plan to a pool of worker processes
-        through shared memory (no pickling per task), and ``"auto"``
-        picks processes only when it can pay off — multiple workers, a
-        multi-core host, and a database at least
-        :data:`~repro.core.parallel.PROCESS_CROSSOVER` records large.
-        Results are bit-identical across backends (shard streams are
-        derived the same way everywhere); a per-query ``backend=``
-        override narrows or widens the choice for one query. A copula
-        forces threads — correlated evaluators are built from closures
-        that cannot cross a process boundary — and ``"process"`` with a
-        copula is refused at construction.
+        Where MCMC chains run when ``workers`` is set: ``"thread"``
+        (default), ``"process"`` (a pool of worker processes that
+        rebuild the state oracle from shared memory), or ``"auto"``
+        (processes for a built-in oracle with several workers on a
+        multi-core host; see :class:`~repro.core.mcmc.TopKSimulation`).
+        Sampling always runs on threads. Results are bit-identical
+        across backends; a per-query ``backend=`` overrides the knob
+        for one query.
     budget:
         Optional default :class:`~repro.core.budget.Budget` applied to
         every query (a per-query ``budget=`` argument overrides it).
@@ -343,12 +336,6 @@ class RankingEngine:
         self._check_database(records, copula)
         if backend not in ("thread", "process", "auto"):
             raise QueryError(f"unknown execution backend {backend!r}")
-        if backend == "process" and copula is not None:
-            raise QueryError(
-                "backend='process' is unavailable with a copula: "
-                "correlated evaluators cannot cross a process boundary; "
-                "use backend='thread' or 'auto'"
-            )
         self.records = list(records)
         self.rng = np.random.default_rng(seed)
         # Resolve eagerly so a bad value fails at construction, not at
@@ -358,8 +345,7 @@ class RankingEngine:
         )
         self.backend = backend
         # Every ParallelSampler this engine builds, so close() can tear
-        # down their pools and shared-memory segments. Samplers re-create
-        # resources lazily, so a closed engine (or a sampler shared
+        # down their thread pools. Samplers re-create pools lazily, so a closed engine (or a sampler shared
         # through a common cache) remains usable — close() only releases
         # what is currently held.
         self._owned_samplers: List[ParallelSampler] = []
@@ -660,35 +646,6 @@ class RankingEngine:
             base = base + ("copula", self._copula_token)
         return base
 
-    def _effective_backend(self, override: Optional[str] = None) -> str:
-        """Resolve the execution backend for one query.
-
-        ``override`` (a per-query ``backend=``) takes precedence over
-        the engine knob. ``"auto"`` picks processes only when they can
-        pay off: multiple workers, a multi-core host, no copula, and a
-        database at least ``PROCESS_CROSSOVER`` records large —
-        otherwise shared-memory export and task marshalling cost more
-        than the GIL relief buys. An explicit ``"process"`` under a
-        copula is refused (correlated evaluators are closures).
-        """
-        backend = self.backend if override is None else override
-        if backend == "process" and self.copula is not None:
-            raise QueryError(
-                "backend='process' is unavailable with a copula: "
-                "correlated evaluators cannot cross a process boundary"
-            )
-        if backend == "auto":
-            backend = (
-                "process"
-                if self.copula is None
-                and self.workers is not None
-                and self.workers > 1
-                and (os.cpu_count() or 1) > 1
-                and len(self.records) >= PROCESS_CROSSOVER
-                else "thread"
-            )
-        return backend
-
     def _mcmc_call_seed(
         self,
         target: str,
@@ -737,28 +694,17 @@ class RankingEngine:
         subset: Sequence[UncertainRecord],
         fp: str,
         sampler_seed: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> Union[MonteCarloEvaluator, ParallelSampler]:
         """Monte-Carlo front-end over ``subset``, cached by fingerprint.
 
         With ``workers=None`` this is a single evaluator; otherwise a
         sharded :class:`ParallelSampler` whose results are worker-count
-        and backend invariant. The evaluator object is keyed by the
-        worker count and backend too (a sampler built for one pool
-        shape should not decide another engine's parallelism), but the
-        *counts* it produces are keyed by :meth:`_backend_key` alone
-        and therefore shared.
-
-        Without a copula the sampler builds its shard evaluators from
-        the compiled plan itself, which keeps the process backend
-        available; a copula needs per-shard correlated evaluators, so
-        it passes a closure factory and stays on threads (enforced
-        upstream by :meth:`_effective_backend`).
+        invariant. The evaluator object is keyed by the worker count
+        too (a sampler built for one pool shape should not decide
+        another engine's parallelism), but the *counts* it produces are
+        keyed by :meth:`_backend_key` alone and therefore shared.
         """
         seed = self._sampler_seed if sampler_seed is None else sampler_seed
-        effective = (
-            self._effective_backend(None) if backend is None else backend
-        )
 
         def build() -> Union[MonteCarloEvaluator, ParallelSampler]:
             plan = self._plan_for(fp, subset)
@@ -774,14 +720,13 @@ class RankingEngine:
                     else self._sampler_factory(subset, plan)
                 ),
                 plan=plan,
-                backend=effective,
             )
             self._owned_samplers.append(sampler)  # reprolint: disable=CON001 -- samplers are only built on the query thread (cache builds run inline); worker pools never construct samplers
             return sampler
 
         return self.cache.artifact(
             "sampler",
-            (fp, self._backend_key(sampler_seed), self.workers, effective),
+            (fp, self._backend_key(sampler_seed), self.workers),
             build,
         )
 
@@ -793,11 +738,10 @@ class RankingEngine:
         max_rank: Optional[int] = None,
         budget: Optional[Budget] = None,
         sampler_seed: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         """Memoized rank counts of ``subset`` with deterministic top-up
         (see cache), drawn under a ``sample`` span."""
-        sampler = self._sampler(subset, fp, sampler_seed, backend)
+        sampler = self._sampler(subset, fp, sampler_seed)
         with span("sample", requested=samples) as sample_span:
             sc = self.cache.rank_counts(
                 fp,
@@ -1158,7 +1102,7 @@ class RankingEngine:
             method=self._guard_copula(spec.method),
             sampler_seed=sampler_seed,
             mcmc_seed=mcmc_seed,
-            backend=self._effective_backend(spec.backend),
+            backend=self.backend if spec.backend is None else spec.backend,
         )
         enabled = self.trace if spec.trace is None else spec.trace
         root: Optional[Span] = (
@@ -1349,7 +1293,6 @@ class RankingEngine:
                 max_rank=j,
                 budget=budget,
                 sampler_seed=ctx.sampler_seed,
-                backend=ctx.backend,
             )
             if sc.done == 0:
                 raise _StageSkipped(
@@ -1660,7 +1603,7 @@ class RankingEngine:
 
         def run_exact() -> List:
             if budget is None:
-                scored, clipped, exhausted = self.cache.artifact(  # reprolint: disable=CACHE002 -- shape is folded into the artifact kind (exact-<target>), and (kind, key) is the cache identity
+                scored, clipped, exhausted = self.cache.artifact(
                     f"exact-{shape.target}",
                     (fp, k_eff, self.prefix_enumeration_limit),
                     lambda: self._score_topk(shape, fp, pruned, k_eff),
@@ -1702,7 +1645,6 @@ class RankingEngine:
                 max_rank=k_eff,
                 budget=budget,
                 sampler_seed=ctx.sampler_seed,
-                backend=ctx.backend,
             )
             if sc.done > 0:
                 rank_matrix = sc.counts / sc.done
@@ -1766,7 +1708,7 @@ class RankingEngine:
             return answers(result.answers)
 
         def run_montecarlo() -> List:
-            sampler = self._sampler(pruned, fp, ctx.sampler_seed, ctx.backend)
+            sampler = self._sampler(pruned, fp, ctx.sampler_seed)
             empirical = getattr(sampler, shape.empirical)
             requested = base_samples
             denom = requested
@@ -1786,7 +1728,7 @@ class RankingEngine:
                     denom = grant
                     freq = empirical(k_eff, denom, seed=0)
                 else:
-                    freq = self.cache.artifact(  # reprolint: disable=CACHE002 -- shape is folded into the artifact kind (empirical-<target>), and (kind, key) is the cache identity
+                    freq = self.cache.artifact(
                         f"empirical-{shape.target}",
                         (fp, self._backend_key(ctx.sampler_seed), k_eff, denom),
                         lambda: empirical(k_eff, denom, seed=0),
@@ -1828,11 +1770,11 @@ class RankingEngine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release pools and shared-memory segments this engine created.
+        """Release the shard thread pools this engine created.
 
-        Tears down every owned :class:`ParallelSampler` — their thread
-        and process pools and exported plan segments. Idempotent, and
-        not terminal: samplers re-create resources lazily, so an engine
+        Tears down every owned :class:`ParallelSampler` pool (MCMC
+        process pools and segments live only for one walk). Idempotent,
+        and not terminal: samplers re-create pools lazily, so an engine
         can keep answering queries after ``close()`` (it just starts
         cold). Samplers obtained from a shared computation cache may be
         serving other engines; closing them here is safe for the same
@@ -1896,7 +1838,6 @@ class RankingEngine:
             "exact_densities": supports_exact(pruned),
             "workers": self.workers,
             "backend": self.backend,
-            "effective_backend": self._effective_backend(None),
             "fingerprint": fp,
             "cache": self.cache.stats().to_dict(),
             "observability": {
@@ -2023,7 +1964,6 @@ class RankingEngine:
                     records,
                     requested,
                     sampler_seed=ctx.sampler_seed,
-                    backend=ctx.backend,
                 )
                 matrix = sc.counts / sc.done
                 # Sampling noise perturbs footrule costs by roughly

@@ -244,6 +244,10 @@ class ExactEvaluator:
             raise QueryError("record set contains duplicates")
         if not members:
             return 1.0
+        # Score members in database order, not the caller's: a
+        # frozenset iterates in string-hash order, which follows
+        # PYTHONHASHSEED, and the float sum below must not.
+        members = [r for r in self.records if r.record_id in ids]
         rest = [r for r in self.records if r.record_id not in ids]
         outside = PiecewisePolynomial.constant(1.0)
         for other in rest:

@@ -58,11 +58,19 @@ from .exact import ExactEvaluator, supports_exact
 from .montecarlo import MonteCarloEvaluator
 from .pairwise import PairwiseCache, probability_greater
 from .metrics import MetricsRegistry, active_registry, use_registry
-from .parallel import _START_METHOD, resolve_workers
+from .parallel import resolve_workers
 from .records import UncertainRecord
 from .trace import Span, activate, current_span
 
 logger = logging.getLogger(__name__)
+
+#: Start method for the process backend. ``fork`` (Linux) inherits the
+#: parent's modules and the shared-segment registry, making worker
+#: start-up cheap; elsewhere fall back to ``spawn``, where workers
+#: re-import and attach segments by name.
+_START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 __all__ = [
     "ProposalResult",
@@ -86,6 +94,57 @@ def _state_seed(ids: Sequence[str]) -> int:
         "\x1f".join(ids).encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def _state_oracle(
+    records: Sequence[UncertainRecord],
+    target: str,
+    kind: str,
+    seed: Optional[int],
+    pi_samples: int,
+) -> Callable[[Hashable], float]:
+    """The built-in state-probability oracle for one simulation.
+
+    Thread chains (:meth:`TopKSimulation._build_oracle`) and process
+    chains (worker processes rebuilding the oracle from its shipped
+    descriptor) both call this, so the two cannot drift apart. The
+    exact oracle is deterministic by construction. The Monte-Carlo
+    oracle seeds from ``seed`` and then estimates every state under its
+    own id-derived seed stream, so it is a pure function of the state
+    key: chains can query it concurrently, in any order or process,
+    without changing any estimate.
+    """
+    if kind == "exact":
+        evaluator = ExactEvaluator(records)
+        if target == "prefix":
+            return lambda key: evaluator.prefix_probability(list(key))
+        return lambda key: evaluator.top_set_probability(list(key))
+    sampler = MonteCarloEvaluator(records, seed=seed)
+
+    # Sequential importance sampling (prefixes) and the CDF-product
+    # estimator (sets) are unbiased and strictly positive for feasible
+    # states, unlike plain indicator frequencies, so the walk never sees
+    # spurious zeros.
+    if target == "prefix":
+
+        def prefix_oracle(key: Hashable) -> float:
+            ids = list(key)
+            return sampler.prefix_probability_sis(
+                ids, pi_samples, seed=_state_seed(ids)
+            )
+
+        return prefix_oracle
+
+    def set_oracle(key: Hashable) -> float:
+        # Sort the frozenset's ids: iteration order is salted by
+        # PYTHONHASHSEED, and both the seed and the sub-plan sample
+        # order must not depend on it.
+        ids = sorted(key)
+        return sampler.top_set_probability_cdf(
+            ids, pi_samples, seed=_state_seed(ids)
+        )
+
+    return set_oracle
 
 
 def _oracle_with_retry(
@@ -592,45 +651,14 @@ class TopKSimulation:
                 and len(self.records) <= exact_limit
             )
             oracle = "exact" if use_exact else "montecarlo"
-        if oracle == "exact":
-            self._oracle_kind = "exact"
-            evaluator = ExactEvaluator(self.records)
-            if self.target == "prefix":
-                return lambda key: evaluator.prefix_probability(list(key))
-            return lambda key: evaluator.top_set_probability(list(key))
-        if oracle != "montecarlo":
+        if oracle not in ("exact", "montecarlo"):
             raise QueryError(f"unknown state-probability oracle {oracle!r}")
-        self._oracle_kind = "montecarlo"
-        self._oracle_seed = int(self.rng.integers(2**63))
-        sampler = MonteCarloEvaluator(self.records, seed=self._oracle_seed)
-
-        # Sequential importance sampling (prefixes) and the CDF-product
-        # estimator (sets) are unbiased and strictly positive for
-        # feasible states, unlike plain indicator frequencies, so the
-        # walk never sees spurious zeros. Each state is estimated under
-        # its own id-derived seed stream, so the oracle is a pure
-        # function of the state key: chains can query it concurrently
-        # (or in any order) without changing any estimate.
-        if self.target == "prefix":
-
-            def prefix_oracle(key: Hashable) -> float:
-                ids = list(key)
-                return sampler.prefix_probability_sis(
-                    ids, pi_samples, seed=_state_seed(ids)
-                )
-
-            return prefix_oracle
-
-        def set_oracle(key: Hashable) -> float:
-            # Sort the frozenset's ids: iteration order is salted by
-            # PYTHONHASHSEED, and both the seed and the sub-plan sample
-            # order must not depend on it.
-            ids = sorted(key)
-            return sampler.top_set_probability_cdf(
-                ids, pi_samples, seed=_state_seed(ids)
-            )
-
-        return set_oracle
+        self._oracle_kind = oracle
+        if oracle == "montecarlo":
+            self._oracle_seed = int(self.rng.integers(2**63))
+        return _state_oracle(
+            self.records, self.target, oracle, self._oracle_seed, pi_samples
+        )
 
     def _call_oracle(self, key: Hashable) -> float:
         """One oracle evaluation with bounded retry-with-backoff.
@@ -1000,45 +1028,6 @@ class TopKSimulation:
 # process-backend worker side
 # ----------------------------------------------------------------------
 
-def _worker_oracle(
-    records: Sequence[UncertainRecord],
-    target: str,
-    cfg: Dict[str, Any],
-) -> Callable[[Hashable], float]:
-    """Rebuild the state-probability oracle from its shipped descriptor.
-
-    Mirrors :meth:`TopKSimulation._build_oracle` exactly: the exact
-    oracle is deterministic by construction, and the Monte-Carlo oracle
-    re-seeds from the parent's captured draw and then seeds every state
-    estimate from the state key, so a worker's oracle returns the same
-    float the parent's would for every key.
-    """
-    if cfg["oracle_kind"] == "exact":
-        evaluator = ExactEvaluator(records)
-        if target == "prefix":
-            return lambda key: evaluator.prefix_probability(list(key))
-        return lambda key: evaluator.top_set_probability(list(key))
-    sampler = MonteCarloEvaluator(records, seed=cfg["oracle_seed"])
-    pi_samples = cfg["pi_samples"]
-    if target == "prefix":
-
-        def prefix_oracle(key: Hashable) -> float:
-            ids = list(key)
-            return sampler.prefix_probability_sis(
-                ids, pi_samples, seed=_state_seed(ids)
-            )
-
-        return prefix_oracle
-
-    def set_oracle(key: Hashable) -> float:
-        ids = sorted(key)
-        return sampler.top_set_probability_cdf(
-            ids, pi_samples, seed=_state_seed(ids)
-        )
-
-    return set_oracle
-
-
 class _WorkerChainContext:
     """Per-process attachment to one simulation's shared segment.
 
@@ -1078,7 +1067,13 @@ class _WorkerChainContext:
             self._pairwise_memo = None
             self.pairwise = probability_greater
         self._pairwise_shipped = 0
-        self._oracle = _worker_oracle(self.records, self.target, cfg)
+        self._oracle = _state_oracle(
+            self.records,
+            self.target,
+            cfg["oracle_kind"],
+            cfg["oracle_seed"],
+            cfg["pi_samples"],
+        )
         self._cache: Dict[Hashable, float] = {}
 
     def cached_pi(self, key: Hashable) -> float:

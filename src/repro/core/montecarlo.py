@@ -85,7 +85,7 @@ def select_top_rank_candidates(
     Keeps an l-sized answer heap (``heapq.nsmallest`` over the
     ``(-probability, record_id)`` key), mirroring the §VI-C complexity
     analysis: selection is ``O(n log l)``, not a full sort. Shared by
-    the serial and parallel samplers.
+    :meth:`MonteCarloEvaluator.top_rank_candidates` and the engine.
     """
     if l < 1:
         raise QueryError("l must be positive")
@@ -594,24 +594,3 @@ class MonteCarloEvaluator:
         """Frequencies of observed top-k sets among sampled rankings."""
         counts = self.empirical_top_set_counts(k, samples, seed=seed)
         return {key: c / samples for key, c in counts.items()}
-
-    # ------------------------------------------------------------------
-    # reference implementations (benchmarks and equivalence tests)
-    # ------------------------------------------------------------------
-
-    def _sample_scores_serial(
-        self, rng: np.random.Generator, samples: int
-    ) -> np.ndarray:
-        """Pre-columnar per-record sampling loop.
-
-        Kept (private) as the baseline the columnar plan is benchmarked
-        and distribution-tested against; not used by any estimator.
-        """
-        n = len(self.records)
-        out = np.empty((samples, n))
-        for i, rec in enumerate(self.records):  # reprolint: disable=PERF001 -- serial reference path retained for the columnar speedup benchmark
-            if rec.is_deterministic:
-                out[:, i] = self._tie_values.get(rec.record_id, rec.lower)
-            else:
-                out[:, i] = rec.score.sample(rng, samples)
-        return out

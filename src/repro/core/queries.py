@@ -91,7 +91,8 @@ class Query:
         Per-query execution-backend override (``"thread"``,
         ``"process"``, or ``"auto"``); ``None`` follows the engine's
         ``backend=`` knob. Results are bit-identical across backends —
-        the knob only changes where the sampling work runs.
+        the knob only changes where MCMC chains run; sampling always
+        runs on threads.
     """
 
     kind: str

@@ -1,8 +1,8 @@
 """Shared-memory segment lifecycle and bookkeeping.
 
-The process-pool execution backend (:mod:`repro.core.parallel`) ships
-compiled :class:`~repro.core.distributions.SamplingPlan` arrays and
-cross-process budget state to workers through POSIX shared memory.
+The MCMC process backend (:mod:`repro.core.mcmc`) ships the compiled
+:class:`~repro.core.distributions.SamplingPlan` arrays and the state
+oracle's descriptor to chain workers through POSIX shared memory.
 Segments are named kernel objects that outlive the process that forgot
 to unlink them, so every segment created by this package goes through
 this module: creation registers the name in a process-local registry,

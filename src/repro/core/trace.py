@@ -157,36 +157,6 @@ class Span:
 
     # -- export --------------------------------------------------------
 
-    @classmethod
-    def from_export(cls, data: Dict[str, Any]) -> "Span":
-        """Rebuild a span subtree from a :meth:`to_dict` export.
-
-        Used to graft spans recorded in worker *processes* back into
-        the parent's span tree: the rebuilt nodes carry the recorded
-        wall/CPU durations (clocks pinned, already ended) and skip the
-        span-start hook — they happened elsewhere, so re-running jitter
-        or restarting clocks here would distort them.
-        """
-        node = cls.__new__(cls)
-        node.name = str(data.get("name", ""))
-        node.attributes = dict(data.get("attributes") or {})
-        node.children = [
-            cls.from_export(child) for child in data.get("children") or []
-        ]
-        node._lock = threading.Lock()
-        node._start_wall = 0.0
-        node._start_cpu = 0.0
-        node._end_wall = float(data.get("wall_seconds") or 0.0)
-        node._end_cpu = float(data.get("cpu_seconds") or 0.0)
-        return node
-
-    def adopt(self, data: Dict[str, Any]) -> "Span":
-        """Attach an exported subtree as a child; safe from any thread."""
-        node = Span.from_export(data)
-        with self._lock:
-            self.children.append(node)
-        return node
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable span tree (see ``python -m repro.trace``).
 

@@ -620,7 +620,8 @@ class CacheKeyCompletenessRule(ProjectRule):
     Coverage is established by slicing the whole enclosing-function
     chain (closures capture from every enclosing scope):
 
-    - direct mention in the key;
+    - direct mention in the key, or in a dynamic (f-string) kind —
+      ``(kind, key)`` is the cache identity;
     - *backward* flow — the free name feeds an expression a key name
       was assigned from (``fp = fingerprint_records(subset)``);
     - *co-assignment* — the free name and a key name are produced by
@@ -689,7 +690,9 @@ class CacheKeyCompletenessRule(ProjectRule):
         for member in chain:
             chain_params |= member.params
         assigns, co_groups = self._chain_assignments(chain)
-        covered = self._covered_names(key_expr, assigns, co_groups)
+        covered = self._covered_names(
+            (kind_node, key_expr), assigns, co_groups
+        )
         fp_delegated = any(
             param in covered
             and any(tok in param.lower() for tok in self._FP_TOKENS)
@@ -811,13 +814,16 @@ class CacheKeyCompletenessRule(ProjectRule):
 
     @staticmethod
     def _covered_names(
-        key_expr: ast.expr,
+        identity: Sequence[ast.expr],
         assigns: Dict[str, List[Set[str]]],
         co_groups: List[Set[str]],
     ) -> Set[str]:
-        """Backward fixed point: names the key depends on, expanded
-        through assignment flow and co-assignment."""
-        covered = _local_deps(key_expr)
+        """Backward fixed point: names the cache identity (kind and
+        key) depends on, expanded through assignment flow and
+        co-assignment."""
+        covered: Set[str] = set()
+        for expr in identity:
+            covered |= _local_deps(expr)
         changed = True
         while changed:
             changed = False
@@ -842,8 +848,9 @@ class CacheKeyCompletenessRule(ProjectRule):
         """Whether every assignment to ``name`` depends only on
         covered (or transitively derivable) names. A name with no
         assignments is an input, not a derivation; a nullary producer
-        (no local dependencies) counts as constant."""
-        if name in covered:
+        (no local dependencies) and a builtin (``getattr``) count as
+        constant."""
+        if name in covered or name in _BUILTIN_NAMES:
             return True
         if name in visiting:
             return False

@@ -118,7 +118,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--backend",
         type=_parse_backends,
         default=["thread", "process"],
-        help="comma-separated execution-backend grid "
+        help="comma-separated execution-backend grid; the process leg "
+        "runs MCMC chains in worker processes, sampling stays on threads "
         "(default: thread,process)",
     )
     parser.add_argument(

@@ -14,9 +14,9 @@ and cache temperature. It replays a seeded mixed-query workload
 - across a worker grid (default 1/2/4) so sharded backends and MCMC
   chain pools run both serial and concurrent;
 - across an execution-backend grid (default threads only; the CLI's
-  ``--backend`` flag defaults to ``thread,process``) so the
-  shared-memory process backend is held to the same byte-for-byte
-  contract as the thread pool;
+  ``--backend`` flag defaults to ``thread,process``) so MCMC chains
+  run in worker processes are held to the same byte-for-byte contract
+  as chains on threads (sampling always runs on threads);
 - twice per engine, so the second pass answers from a warm
   :class:`~repro.core.cache.ComputationCache`;
 - across a planner grid (the CLI's ``--planner`` flag defaults to
@@ -88,7 +88,8 @@ DEFAULT_WORKER_GRID: Tuple[int, ...] = (1, 2, 4)
 
 #: Execution backends exercised per repeat. The library default keeps
 #: tier-1 runs fast (thread pools only); the sanitizer CLI widens this
-#: to ``thread,process`` so release checks cover the process backend.
+#: to ``thread,process`` so release checks cover MCMC chains run in
+#: worker processes, the one place the process backend applies.
 DEFAULT_BACKEND_GRID: Tuple[str, ...] = ("thread",)
 
 #: Planner settings exercised per repeat. The library default keeps
@@ -489,8 +490,8 @@ def _execute(
                 )
             )
     finally:
-        # Release worker pools and shared-memory segments before the
-        # next grid cell; the matrix builds dozens of engines.
+        # Release sampler thread pools before the next grid cell; the
+        # matrix builds dozens of engines.
         engine.close()
     return passes[0], passes[1]
 

@@ -180,8 +180,8 @@ class RankingService:
         Idempotent. The in-flight wait is bounded by
         ``drain_timeout_seconds``; stragglers are abandoned (their
         budgets are cooperative, so they wind down on their own) and the
-        engine is closed regardless so pools and shared-memory segments
-        never outlive the service.
+        engine is closed regardless so its sampler pools never outlive
+        the service.
         """
         if self._state == "stopped":
             return

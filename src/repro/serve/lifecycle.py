@@ -4,7 +4,8 @@
 uncertain table. The interesting part is the exit path: SIGTERM (or
 SIGINT) flips a stop event, after which :meth:`RankingService.shutdown`
 stops accepting, waits out in-flight requests (bounded), and closes the
-engine so sampler pools and shared-memory segments are torn down —
+engine so sampler thread pools are torn down; MCMC process pools and
+their shared-memory segments live only for one walk, so
 ``repro.core.shm.live_segments()`` is empty when the process exits.
 """
 

@@ -232,7 +232,7 @@ async def read_response(
     The client-side counterpart of :func:`read_request`, used by the
     test suite and benchmarks. It reads exactly ``Content-Length`` body
     bytes rather than waiting for EOF: when the engine's process
-    backend forks sampler workers while connections are open, the
+    backend forks MCMC chain workers while connections are open, the
     workers inherit duplicates of the socket and the FIN is delayed
     until they exit, so an EOF-based client would hang on a complete
     response. Raises ``ValueError`` on a malformed response and

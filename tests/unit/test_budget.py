@@ -245,9 +245,16 @@ class TestEvaluatorBudget:
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_parallel_rank_counts_match_legacy_matrix(self, small_db):
+        # The merge of shard counts equals the sum of each shard
+        # evaluator's unbudgeted count matrix over its share.
         sampler = ParallelSampler(small_db, seed=5, workers=2)
         counts = sampler.rank_counts(500, seed=2)
-        matrix = sampler.rank_count_matrix(500, seed=2)
+        matrix = sum(
+            evaluator.rank_count_matrix(size, seed=2)
+            for evaluator, size in zip(
+                sampler._evaluators, sampler.shard_sizes(500)
+            )
+        )
         np.testing.assert_array_equal(counts.counts, matrix)
 
 

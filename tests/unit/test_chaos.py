@@ -168,7 +168,7 @@ class TestFaultsThroughEstimators:
 
     def test_shard_crash_retry_is_bit_identical(self, db):
         clean = ParallelSampler(db, seed=5, workers=2)
-        expected = clean.rank_count_matrix(400, seed=2)
+        expected = clean.rank_counts(400, seed=2).counts
 
         injector = FaultInjector(seed=3)
         schedule = injector.schedule(calls={0}, limit=1)
@@ -180,7 +180,7 @@ class TestFaultsThroughEstimators:
                 lambda s: MonteCarloEvaluator(db, seed=s), schedule
             ),
         )
-        observed = crashing.rank_count_matrix(400, seed=2)
+        observed = crashing.rank_counts(400, seed=2).counts
         assert schedule.faults_fired == 1
         np.testing.assert_array_equal(observed, expected)
 
@@ -196,4 +196,4 @@ class TestFaultsThroughEstimators:
             ),
         )
         with pytest.raises(EvaluationError, match="failed twice"):
-            crashing.rank_count_matrix(400, seed=2)
+            crashing.rank_counts(400, seed=2)

@@ -361,6 +361,30 @@ class TestCACHE002:
         )
         assert "CACHE002" not in codes(result)
 
+    def test_dynamic_kind_covers_its_names(self):
+        # (kind, key) is the cache identity: ``scorer`` derives only
+        # from names the f-string kind reads, so it is covered;
+        # ``limit`` is in neither the kind nor the key and fires.
+        source = """
+            class RankingEngine:
+                def __init__(self, cache):
+                    self.cache = cache
+
+                def query(self, spec, caps, fp):
+                    target = spec.target
+                    limit = caps.limit
+                    scorer = getattr(spec, target)
+                    return self.cache.artifact(
+                        f"exact-{target}",
+                        (fp,),
+                        lambda: scorer(fp, EXTRA),
+                    )
+            """
+        assert "CACHE002" not in codes(run(source.replace("EXTRA", "fp")))
+        flagged = run(source.replace("EXTRA", "limit"))
+        messages = [f.message for f in flagged.findings if f.code == "CACHE002"]
+        assert len(messages) == 1 and "'limit'" in messages[0]
+
 
 class TestCrossModuleSuppression:
     _FIXED_SEED = """

@@ -1,10 +1,15 @@
 """Unit tests for the exact piecewise-polynomial probability engine."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.distributions import TruncatedGaussianScore
 from repro.core.errors import EvaluationError, QueryError
 from repro.core.exact import ExactEvaluator, supports_exact
@@ -167,6 +172,29 @@ class TestTopSetProbability:
     def test_whole_database_is_certain_top_set(self, paper_db):
         evaluator = ExactEvaluator(paper_db)
         assert evaluator.top_set_probability(paper_db) == pytest.approx(1.0)
+
+    def test_answer_bytes_independent_of_string_hash_seed(self):
+        # A frozenset iterates in string-hash order; scoring its members
+        # in that order moved this answer's last bit between hash seeds.
+        script = (
+            "from repro.core.engine import RankingEngine\n"
+            "from repro.serve.lifecycle import synthetic_records\n"
+            "engine = RankingEngine(synthetic_records(60, seed=4))\n"
+            "for a in engine.utop_set(3, method='exact').answers:\n"
+            "    print(sorted(a.members), repr(a.probability))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                stdout=subprocess.PIPE,
+            )
+            for seed in ("0", "3")
+        ]
+        outputs = [run.communicate(timeout=120)[0] for run in runs]
+        assert all(run.returncode == 0 for run in runs)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestRankProbabilities:

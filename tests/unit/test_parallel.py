@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.errors import QueryError
 from repro.core.exact import ExactEvaluator
+from repro.core.montecarlo import select_top_rank_candidates
 from repro.core.parallel import DEFAULT_SHARDS, ParallelSampler, resolve_workers
 from repro.core.records import certain, uniform
 
@@ -80,22 +81,10 @@ class TestWorkerCountInvariance:
         assert np.array_equal(drawn[0], drawn[2])
 
     def test_rank_count_matrix(self, db):
-        counts = [s.rank_count_matrix(2_000, seed=3) for s in samplers(db)]
+        counts = [s.rank_counts(2_000, seed=3).counts for s in samplers(db)]
         assert np.array_equal(counts[0], counts[1])
         assert np.array_equal(counts[0], counts[2])
         assert counts[0].sum() == pytest.approx(2_000 * len(db))
-
-    def test_scalar_estimators(self, db):
-        prefix = ["t5", "t1"]
-        values = [
-            (
-                s.prefix_probability(prefix, 2_000, seed=5),
-                s.prefix_probability_sis(prefix, 500, seed=5),
-                s.top_set_probability_cdf(["t1", "t5"], 500, seed=5),
-            )
-            for s in samplers(db)
-        ]
-        assert values[0] == values[1] == values[2]
 
     def test_empirical_distributions(self, db):
         tables = [s.empirical_top_prefixes(2, 2_000, seed=1) for s in samplers(db)]
@@ -106,7 +95,7 @@ class TestWorkerCountInvariance:
     def test_per_call_seed_isolation(self, db):
         sampler = ParallelSampler(db, seed=42, workers=2)
         first = sampler.sample_scores(500, seed=9)
-        sampler.rank_count_matrix(1_000, seed=2)  # interleaved other call
+        sampler.rank_counts(1_000, seed=2)  # interleaved other call
         again = sampler.sample_scores(500, seed=9)
         assert np.array_equal(first, again)
         different = sampler.sample_scores(500, seed=10)
@@ -118,19 +107,20 @@ class TestAccuracy:
 
     def test_rank_probability_matrix(self, db):
         sampler = ParallelSampler(db, seed=0, workers=2)
-        estimate = sampler.rank_probability_matrix(60_000)
+        estimate = sampler.rank_counts(60_000).counts / 60_000
         exact = ExactEvaluator(db).rank_probability_matrix()
         assert np.allclose(estimate, exact, atol=0.02)
 
     def test_prefix_probability(self, db):
         sampler = ParallelSampler(db, seed=0, workers=2)
         # Paper's worked example: P(t5, t1, t2 prefix) = 7/16.
-        value = sampler.prefix_probability_sis(["t5", "t1", "t2"], 60_000)
+        value = sampler.empirical_top_prefixes(3, 60_000)[("t5", "t1", "t2")]
         assert value == pytest.approx(0.4375, abs=0.02)
 
     def test_top_rank_candidates_match_serial_selection(self, db):
         sampler = ParallelSampler(db, seed=0, workers=3)
-        ranked = sampler.top_rank_candidates(1, 2, 3, 40_000)
+        matrix = sampler.rank_counts(40_000, max_rank=2).counts / 40_000
+        ranked = select_top_rank_candidates(db, matrix, 1, 2, 3)
         assert ranked[0][0].record_id == "t5"
         assert ranked[0][1] == pytest.approx(1.0, abs=0.02)
         probs = [p for _rec, p in ranked]
@@ -167,3 +157,15 @@ class TestFactoryHook:
         captured.clear()
         ParallelSampler(db, seed=7, workers=4, factory=spy)
         assert captured == first
+
+
+class TestLifecycle:
+    def test_close_shuts_pool_and_sampler_stays_usable(self, db):
+        sampler = ParallelSampler(db, seed=42, workers=2)
+        before = sampler.rank_counts(500, seed=9).counts
+        sampler.close()
+        # Closed is not terminal: the pool is re-created lazily.
+        again = sampler.rank_counts(500, seed=9).counts
+        assert np.array_equal(before, again)
+        sampler.close()
+        sampler.close()  # idempotent
